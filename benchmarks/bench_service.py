@@ -16,7 +16,7 @@ asserts exact call accounting; full mode also asserts the >=2x 1->N
 scaling, and the process arm is additionally pinned against the
 single-threaded oracle (identical accounting + identical KV op count).
 
-Runnable standalone (CI's mpservice-smoke job)::
+Runnable standalone (CI's serving-smoke job)::
 
     python benchmarks/bench_service.py --executor process --workers 2 \
         --smoke --json out.json

@@ -83,7 +83,7 @@ def main(argv=None) -> int:
         topology, plan, store=store, ledger=ledger,
         defragmenter=defragmenter,
         defrag_interval_s=packing_config.defrag_interval_s)
-    report = runtime.run(load.events)
+    report = runtime.run(load.batch)
 
     print()
     print(report.summary())

@@ -5,29 +5,57 @@ the controller, whose writer threads persist state to Azure Redis with
 per-write latencies of 0.3-4.2 ms; one controller instance sustains
 1.4x the trace's peak load with 10 threads, scaling with thread count.
 
-Offline substitution: the same controller code runs against the
-latency-simulating in-process store (write latencies drawn from the
-paper's observed range).  Our synthetic trace carries far fewer calls
-than Teams', so for the normalized y-axis we scale the trace's peak event
-rate up to a production-volume equivalent (``production_calls_per_day``),
-as documented in DESIGN.md; the *shape* — near-linear scaling through the
-1.4x mark around 10 threads — is the reproduced result.
+Offline substitution: the controller is the service plane itself —
+``ServiceRuntime.from_config`` on the thread executor with ``n``
+workers, each a writer thread running the admission kernel over its
+crc32 share of the calls — against the latency-simulating sharded store
+(write latencies drawn from the paper's observed range).  Our synthetic
+trace carries far fewer calls than Teams', so for the normalized y-axis
+we scale the trace's peak event rate up to a production-volume
+equivalent (``production_calls_per_day``), as documented in DESIGN.md;
+the *shape* — near-linear scaling through the 1.4x mark — is the
+reproduced result.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
-from repro.controller.columnar import build_event_batch
+from repro.allocation.plan import AllocationPlan
+from repro.config import PlannerConfig, ServiceConfig
+from repro.controller.columnar import ColumnarEventBatch, build_event_batch
 from repro.controller.events import peak_event_rate
-from repro.controller.replay import ReplayEngine, ReplayResult
-from repro.controller.service import ControllerService
 from repro.experiments.common import Scenario, build_scenario
-from repro.kvstore.store import InMemoryKVStore, LatencyProfile
-from repro.config import PlannerConfig
+from repro.service import ServiceReport, ServiceRuntime
 from repro.switchboard import Switchboard
+from repro.topology.builder import Topology
 
 DEFAULT_THREADS = (1, 2, 4, 6, 8, 10, 12)
+
+
+class ThreadPoint(NamedTuple):
+    """One point of the curve: throughput at ``n_threads`` workers."""
+
+    n_threads: int
+    events_per_s: float
+    throughput_vs_peak: float
+    report: ServiceReport
+
+
+def replay(topology: Topology, plan: AllocationPlan,
+           events: ColumnarEventBatch, n_threads: int, peak_rate: float,
+           store_median_latency_ms: float = 2.0) -> ThreadPoint:
+    """Serve ``events`` on ``n_threads`` workers against a store with
+    simulated write latency; throughput is normalized to ``peak_rate``
+    events/s."""
+    service = ServiceConfig(executor="thread", n_workers=n_threads,
+                            kv_latency_median_ms=store_median_latency_ms)
+    report = ServiceRuntime.from_config(topology, plan, service).run(events)
+    return ThreadPoint(
+        n_threads=n_threads, events_per_s=report.events_per_s,
+        throughput_vs_peak=(report.events_per_s / peak_rate
+                            if peak_rate > 0 else 0.0),
+        report=report)
 
 
 def run(scenario: Optional[Scenario] = None,
@@ -44,8 +72,6 @@ def run(scenario: Optional[Scenario] = None,
     capacity = controller.provision(demand, with_backup=False)
     plan = controller.allocate(demand, capacity).plan
 
-    # The whole stream is generated and sorted columnar; the replay
-    # threads materialize event views lazily.
     batch = build_event_batch(trace)
     events = batch.slice(0, max_events) if len(batch) > max_events else batch
 
@@ -55,29 +81,21 @@ def run(scenario: Optional[Scenario] = None,
     scale = production_calls_per_day / max(1, trace.n_calls)
     scaled_peak = raw_peak * scale
 
-    results: List[ReplayResult] = []
-    write_percentiles: Dict[int, Dict[str, float]] = {}
-    for n in threads:
-        store = InMemoryKVStore(LatencyProfile(median_ms=store_median_latency_ms))
-        service = ControllerService(scn.topology, plan, store)
-        result = ReplayEngine(service).replay(events, n_threads=n,
-                                              peak_rate=scaled_peak)
-        results.append(result)
-        write_percentiles[n] = store.latency_percentiles_ms()
+    results = [replay(scn.topology, plan, events, n, scaled_peak,
+                      store_median_latency_ms) for n in threads]
+    write_percentiles = {r.n_threads: r.report.kv_latency_ms
+                         for r in results}
 
     return {
         "results": results,
         "scaled_peak_events_per_s": scaled_peak,
-        "write_latency_range_ms": _latency_range(results),
+        "write_latency_range_ms":
+            "0.3-4.2 (clipped lognormal, as measured in the paper)",
         "write_latency_percentiles_ms": write_percentiles,
         "threads_for_1_4x": next(
             (r.n_threads for r in results if r.throughput_vs_peak >= 1.4), None
         ),
     }
-
-
-def _latency_range(results: List[ReplayResult]) -> str:
-    return "0.3-4.2 (clipped lognormal, as measured in the paper)"
 
 
 def render(result: Dict[str, object]) -> str:

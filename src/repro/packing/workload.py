@@ -31,8 +31,9 @@ import numpy as np
 from repro.core.errors import WorkloadError
 from repro.core.types import Call, MediaType, Participant, make_slots
 from repro.core.units import DEFAULT_FREEZE_WINDOW_S, DEFAULT_SLOT_S
-from repro.controller.events import ControllerEvent, event_stream
+from repro.controller.columnar import ColumnarEventBatch, build_event_batch
 from repro.workload.arrivals import Demand
+from repro.workload.columnar import ColumnarTrace
 from repro.workload.trace import CallTrace
 
 
@@ -41,7 +42,8 @@ class PackingLoad:
     """A generated packing workload plus its planning inputs."""
 
     trace: CallTrace
-    events: List[ControllerEvent]
+    #: The trace's event stream, columnar: what the service serves.
+    batch: ColumnarEventBatch
     demand: Demand
     freeze_window_s: float
     #: Held-out calls (same distribution, different seed) for fitting
@@ -54,7 +56,7 @@ class PackingLoad:
 
     @property
     def n_events(self) -> int:
-        return len(self.events)
+        return len(self.batch)
 
 
 def _build_calls(rng: np.random.Generator, n_calls: int,
@@ -138,7 +140,8 @@ def generate_packing_load(n_calls: int = 300,
     trace = CallTrace(calls, make_slots(slot_horizon, DEFAULT_SLOT_S))
     return PackingLoad(
         trace=trace,
-        events=event_stream(trace, freeze_window_s),
+        batch=build_event_batch(ColumnarTrace.from_trace(trace),
+                                freeze_window_s),
         demand=trace.to_demand(freeze_after_s=freeze_window_s),
         freeze_window_s=freeze_window_s,
         training_calls=training,

@@ -7,7 +7,18 @@ engine routes each through the stateless selector core while keeping
 **all** call state and slot ledgers in the (sharded) kvstore, exactly
 where Azure Redis sits in production.
 
-Scaling model: calls shard over worker threads by call id (per-call
+One kernel, two transports.  :class:`~repro.service.kernel.AdmissionKernel`
+serves a worker's rows of a
+:class:`~repro.controller.columnar.ColumnarEventBatch` — the only wire
+format.  :class:`ServingPlane` is everything around it that both
+executors share: construction and wiring, window splitting, the defrag
+→ rescaler → migrator barrier, the shared-state side of the kernel's
+port (settle, ``note_join``, release, outcome counting, settle
+latency), snapshots and the report.  :class:`AdmissionEngine` is the
+thread transport; :class:`~repro.service.mp.MultiprocessAdmissionEngine`
+the process transport.
+
+Scaling model: calls shard over workers by ``crc32(call_id)`` (per-call
 event order is preserved; different calls proceed concurrently), and
 every worker's simulated store round-trips overlap — so admission
 throughput scales with workers the way Fig 10's controller scales with
@@ -20,18 +31,14 @@ the in-process replay path.
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
 import time
-import warnings
-import zlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from types import SimpleNamespace
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.errors import SwitchboardDeprecationWarning, SwitchboardError
-from repro.core.types import MediaType
+from repro.core.errors import SwitchboardError
 from repro.core.units import DEFAULT_FREEZE_WINDOW_S
 from repro.allocation.plan import AllocationPlan
 from repro.allocation.realtime import (
@@ -41,68 +48,27 @@ from repro.allocation.realtime import (
 )
 from repro.autoscale.telemetry import ServiceSnapshot
 from repro.controller.columnar import ColumnarEventBatch
-from repro.controller.events import (
-    EVENT_SORT_CODE,
-    ControllerEvent,
-    EventType,
-)
-from repro.kvstore.client import PipelinedStateClient
 from repro.kvstore.sharded import ShardedKVStore
 from repro.kvstore.store import InMemoryKVStore
 from repro.obs.events import Observability
 from repro.obs.histogram import LatencyHistogram
+from repro.service.kernel import AdmissionKernel, shard_of_call
 from repro.service.report import ServiceReport
 from repro.topology.builder import Topology
 
-_START = EVENT_SORT_CODE[EventType.CALL_START]
-_JOIN = EVENT_SORT_CODE[EventType.PARTICIPANT_JOIN]
-_MEDIA = EVENT_SORT_CODE[EventType.MEDIA_CHANGE]
-_FREEZE = EVENT_SORT_CODE[EventType.CONFIG_FREEZE]
-_END = EVENT_SORT_CODE[EventType.CALL_END]
 
-#: What a worker inbox carries: a materialized event, a (batch, row)
-#: reference resolved lazily on the worker thread, or the None sentinel.
-_InboxItem = Union[ControllerEvent, Tuple[ColumnarEventBatch, int]]
+class ServingPlane:
+    """What the thread and process executors share.
 
-
-@dataclass
-class _CallState:
-    """Per-call serving state, owned by exactly one worker."""
-
-    initial_dc: str
-    settled: bool = False
-    ended: bool = False
-    # Columnar path only: the lazy view built at CALL_START, reused at
-    # the freeze so settle does not rebuild it.
-    view: Optional[object] = None
-
-
-@dataclass
-class _WorkerState:
-    """One worker's private queue, call table, and counters.
-
-    Workers never share these, so the hot path takes no engine-wide
-    lock; totals merge after the run.
+    Subclasses provide the transport: :meth:`_start` (bring workers
+    up), :meth:`_load` (make a batch visible to them),
+    :meth:`_serve_window` (serve rows ``[lo, hi)`` to quiescence),
+    :meth:`_worker_counts` (cumulative kernel counters),
+    :meth:`_finish` (collect the run's report fields) and
+    :meth:`_stop`.
     """
 
-    inbox: "queue.Queue[Optional[_InboxItem]]" = field(
-        default_factory=queue.Queue)
-    calls: Dict[str, _CallState] = field(default_factory=dict)
-    processed: int = 0
-    dropped: int = 0
-    joins: int = 0
-    media_changes: int = 0
-    generated: int = 0
-    admitted: int = 0
-    migrated: int = 0
-    overflowed: int = 0
-    unplanned: int = 0
-    early_ended: int = 0
-    ended: int = 0
-
-
-class AdmissionEngine:
-    """Serves a controller event stream against the sharded kvstore."""
+    executor = "thread"
 
     def __init__(self, topology: Topology, plan: AllocationPlan,
                  store: Optional[Union[ShardedKVStore,
@@ -116,26 +82,7 @@ class AdmissionEngine:
                  rescaler=None,
                  rescale_interval_s: Optional[float] = None,
                  migrator=None,
-                 migrate_interval_s: Optional[float] = None,
-                 _via_runtime: bool = False):
-        if not _via_runtime:
-            wired = [name for name, value in (
-                ("ledger", ledger), ("defragmenter", defragmenter),
-                ("defrag_interval_s", defrag_interval_s),
-                ("rescaler", rescaler),
-                ("rescale_interval_s", rescale_interval_s),
-                ("migrator", migrator),
-                ("migrate_interval_s", migrate_interval_s),
-            ) if value is not None]
-            if wired:
-                # Bare construction (store/n_workers/freeze window) stays
-                # supported — the engine is the building block — but the
-                # cross-subsystem wiring now belongs to ServiceRuntime.
-                warnings.warn(
-                    f"passing {', '.join(wired)} directly to "
-                    "AdmissionEngine is deprecated; build the service "
-                    "plane with repro.service.ServiceRuntime.from_config",
-                    SwitchboardDeprecationWarning, stacklevel=2)
+                 migrate_interval_s: Optional[float] = None):
         if n_workers < 1:
             raise SwitchboardError("need at least one admission worker")
         if defrag_interval_s is not None and defrag_interval_s <= 0:
@@ -147,6 +94,7 @@ class AdmissionEngine:
         self.topology = topology
         self.store = store if store is not None else ShardedKVStore()
         self.n_workers = n_workers
+        self.freeze_window_s = freeze_window_s
         self.obs = obs
         # An injected ledger (e.g. a repro.packing fleet ledger) replaces
         # the DC-granularity slot ledger: same contract, plus per-server
@@ -155,7 +103,6 @@ class AdmissionEngine:
         self.planned_cells = self.ledger.load_plan(plan)
         self.selector = RealTimeSelector(topology, plan, freeze_window_s,
                                          ledger=self.ledger)
-        self.client = PipelinedStateClient(self.store)
         self.defragmenter = defragmenter
         self.defrag_interval_s = defrag_interval_s
         self.defrag_rounds = 0
@@ -172,8 +119,7 @@ class AdmissionEngine:
                                    if rescaler is not None else None)
         # The live migrator (repro.migrate.MigrationExecutor) runs on
         # the same window barrier, after the rescaler — drain orders a
-        # rescale just issued execute in the same window, and this order
-        # is identical on the process executor.
+        # rescale just issued execute in the same window.
         self.migrator = migrator
         if migrator is not None and migrate_interval_s is None:
             migrate_interval_s = getattr(migrator, "interval_s", None)
@@ -185,6 +131,8 @@ class AdmissionEngine:
             self.migrate_interval_s,
         ) if i is not None]
         self._window_interval_s = min(intervals) if intervals else None
+        self._barriers = (defragmenter is not None or rescaler is not None
+                          or migrator is not None)
         if rescaler is not None:
             bind = getattr(rescaler, "bind", None)
             if bind is not None:
@@ -194,228 +142,125 @@ class AdmissionEngine:
         self.admission_latency = LatencyHistogram()
         self.settle_latency = LatencyHistogram()
         # Fleet-aware ledgers grow/release per-call server reservations;
-        # plain slot ledgers have neither hook.
+        # plain slot ledgers have neither hook.  The migrator's live-call
+        # registry hears every call end (its settle feed is wired through
+        # the selector at bind time).
         self._note_join = getattr(self.ledger, "note_join", None)
         self._release_call = getattr(self.ledger, "release", None)
-        # The migrator's live-call registry hears every call end (its
-        # settle feed is wired through the selector at bind time).
         self._note_end = (migrator.registry.on_end
                           if migrator is not None else None)
+        self._counts_lock = threading.Lock()
+        self._batch: Optional[ColumnarEventBatch] = None
 
     # ------------------------------------------------------------------
-    # event handlers (run on worker threads)
+    # the shared-state side of the kernel's port
     # ------------------------------------------------------------------
-    def _handle(self, worker: _WorkerState, event: ControllerEvent) -> None:
-        kind = event.event_type
-        if kind is EventType.CALL_START:
-            if event.call is None or event.country is None:
-                worker.dropped += 1
-                return
-            t0 = time.perf_counter()
-            initial = self.selector.initial_dc(event.call)
-            worker.calls[event.call_id] = _CallState(initial_dc=initial)
-            self.client.open_call(event.call_id, initial, event.country)
-            worker.generated += 1
-            self.admission_latency.record((time.perf_counter() - t0) * 1e3)
-        elif kind is EventType.PARTICIPANT_JOIN:
-            if event.country is None:
-                worker.dropped += 1
-                return
-            self.client.record_join(event.call_id, event.country)
-            worker.joins += 1
-            if self._note_join is not None:
-                # Post-freeze joins grow the call's server reservation
-                # (no-op before the call is settled/placed).
-                self._note_join(event.call_id)
-        elif kind is EventType.MEDIA_CHANGE:
-            if event.media is None:
-                worker.dropped += 1
-                return
-            self.client.record_media(event.call_id, event.media)
-            worker.media_changes += 1
-        elif kind is EventType.CONFIG_FREEZE:
-            state = worker.calls.get(event.call_id)
-            if state is None or event.call is None or state.settled:
-                worker.dropped += 1
-                return
-            t0 = time.perf_counter()
-            outcome = self.selector.settle(event.call, state.initial_dc)
-            state.settled = True
+    def _settle_row(self, row: int, call_index: int, initial_dc: str,
+                    ended: bool) -> Tuple[str, bool]:
+        """Settle one call at its freeze row; count the outcome."""
+        call = self._batch.trace.call(call_index)
+        t0 = time.perf_counter()
+        outcome = self.selector.settle(call, initial_dc)
+        with self._counts_lock:
             if outcome.migrated:
-                worker.migrated += 1
-                self.client.migrate_call(event.call_id, outcome.final_dc)
+                self._migrated += 1
             elif outcome.overflowed:
-                worker.overflowed += 1
+                self._overflowed += 1
             else:
-                worker.admitted += 1
+                self._admitted += 1
             if not outcome.planned:
-                worker.unplanned += 1
-            self.settle_latency.record((time.perf_counter() - t0) * 1e3)
-            if state.ended:
-                # The call hung up before its freeze point; it was settled
-                # against the plan anyway (the slot was reserved for it),
-                # and its state can be released now.
-                self._close(worker, event.call_id)
-        elif kind is EventType.CALL_END:
-            state = worker.calls.get(event.call_id)
-            if state is None:
-                worker.dropped += 1
-                return
-            worker.ended += 1
-            if state.settled:
-                self._close(worker, event.call_id)
-            else:
-                state.ended = True
-                worker.early_ended += 1
-        else:
-            raise SwitchboardError(f"unknown event type {event.event_type}")
-        worker.processed += 1
+                self._unplanned += 1
+        self.settle_latency.record((time.perf_counter() - t0) * 1e3)
+        if ended:
+            # An early-ended call closes at its freeze: release its
+            # reservation now, before the next row.
+            self._end_row(row, call.call_id)
+        return outcome.final_dc, outcome.migrated
 
-    def _close(self, worker: _WorkerState, call_id: str) -> None:
-        self.client.close_call(call_id)
+    def _join_row(self, row: int, call_id: Optional[str]) -> None:
+        if call_id is not None and self._note_join is not None:
+            self._note_join(call_id)
+
+    def _end_row(self, row: int, call_id: Optional[str]) -> None:
+        if call_id is None:
+            return
         if self._release_call is not None:
             self._release_call(call_id)
         if self._note_end is not None:
             self._note_end(call_id)
-        del worker.calls[call_id]
-
-    def _handle_row(self, worker: _WorkerState, batch: ColumnarEventBatch,
-                    i: int) -> None:
-        """The columnar twin of :meth:`_handle`: one event, read straight
-        from the batch arrays (sharded-worker entry point)."""
-        trace = batch.trace
-        call_index = int(batch.call_idx[i])
-        self._dispatch_row(worker, trace, call_index,
-                           trace.call_id(call_index),
-                           int(batch.type_code[i]),
-                           int(batch.country_code[i]),
-                           int(batch.media_code[i]))
-
-    def _dispatch_row(self, worker: _WorkerState, trace, call_index: int,
-                      call_id: str, code: int, country_code: int,
-                      media_code: int) -> None:
-        """One columnar event, all inputs already plain Python scalars.
-
-        Only CALL_START and CONFIG_FREEZE build a (lazy) call view — the
-        selector needs one; joins, media changes and hangups touch no
-        event or call objects at all.
-        """
-        if code == _START:
-            if country_code < 0:
-                worker.dropped += 1
-                return
-            t0 = time.perf_counter()
-            view = trace.call(call_index)
-            initial = self.selector.initial_dc(view)
-            worker.calls[call_id] = _CallState(initial_dc=initial, view=view)
-            self.client.open_call(call_id, initial,
-                                  trace.countries.value(country_code))
-            worker.generated += 1
-            self.admission_latency.record((time.perf_counter() - t0) * 1e3)
-        elif code == _JOIN:
-            if country_code < 0:
-                worker.dropped += 1
-                return
-            self.client.record_join(call_id,
-                                    trace.countries.value(country_code))
-            worker.joins += 1
-            if self._note_join is not None:
-                self._note_join(call_id)
-        elif code == _MEDIA:
-            if media_code < 0:
-                worker.dropped += 1
-                return
-            self.client.record_media(call_id, MediaType.from_code(media_code))
-            worker.media_changes += 1
-        elif code == _FREEZE:
-            state = worker.calls.get(call_id)
-            if state is None or state.settled:
-                worker.dropped += 1
-                return
-            t0 = time.perf_counter()
-            view = state.view if state.view is not None \
-                else trace.call(call_index)
-            outcome = self.selector.settle(view, state.initial_dc)
-            state.settled = True
-            if outcome.migrated:
-                worker.migrated += 1
-                self.client.migrate_call(call_id, outcome.final_dc)
-            elif outcome.overflowed:
-                worker.overflowed += 1
-            else:
-                worker.admitted += 1
-            if not outcome.planned:
-                worker.unplanned += 1
-            self.settle_latency.record((time.perf_counter() - t0) * 1e3)
-            if state.ended:
-                self._close(worker, call_id)
-        elif code == _END:
-            state = worker.calls.get(call_id)
-            if state is None:
-                worker.dropped += 1
-                return
-            worker.ended += 1
-            if state.settled:
-                self._close(worker, call_id)
-            else:
-                state.ended = True
-                worker.early_ended += 1
-        else:
-            raise SwitchboardError(f"unknown event code {code}")
-        worker.processed += 1
 
     # ------------------------------------------------------------------
-    def run(self, events: Union[Iterable[ControllerEvent],
-                                ColumnarEventBatch,
+    def run(self, events: Union[ColumnarEventBatch,
                                 Iterable[ColumnarEventBatch]]) -> ServiceReport:
-        """Ingest the whole stream; returns the run's report.
+        """Serve the stream; returns the run's report.
 
-        Accepts the object stream (a time-sorted iterable of
-        :class:`ControllerEvent`), one
-        :class:`~repro.controller.columnar.ColumnarEventBatch`, or an
-        iterable of batches (e.g.
+        Accepts one :class:`~repro.controller.columnar.ColumnarEventBatch`
+        or an iterable of batches (e.g.
         :meth:`~repro.service.loadgen.StreamingLoad.batches` — served
-        incrementally, so peak memory stays one batch).  The engine
-        shards events to workers by call id, preserving per-call order
-        on the worker's FIFO inbox; with one worker, columnar input is
-        served on the calling thread with no queue or event objects.
+        incrementally, so peak memory stays one batch).  With a
+        defragmenter, rescaler or migrator bound, batches must not go
+        back in time: a batch that starts before the previous window's
+        last event raises :class:`SwitchboardError`.
         """
-        windows, known_total = self._window_source(events)
-        workers = [_WorkerState() for _ in range(self.n_workers)]
-
+        if isinstance(events, ColumnarEventBatch):
+            batches: Iterator = iter([events])
+            known_total: Optional[int] = len(events)
+        elif isinstance(events, Iterable):
+            batches, known_total = iter(events), None
+        else:
+            raise SwitchboardError(
+                f"the service serves columnar input only (a "
+                f"ColumnarEventBatch or an iterable of them); got "
+                f"{type(events).__name__}")
         if self.obs is not None:
-            fields = {"n_workers": self.n_workers}
+            run_fields: Dict[str, Any] = {"n_workers": self.n_workers,
+                                          "executor": self.executor}
             if known_total is not None:
-                fields["n_events"] = known_total
-            self.obs.record("service.run", label="admission", **fields)
+                run_fields["n_events"] = known_total
+            self.obs.record("service.run", label="admission", **run_fields)
 
+        self._admitted = self._migrated = 0
+        self._overflowed = self._unplanned = 0
         n_events = 0
-        start = time.perf_counter()
-        for window in windows:
-            n_events += len(window)
-            self._serve_window(workers, window)
-            if self.defragmenter is not None:
-                # Defrag runs *between* event windows — never while
-                # workers are mutating the fleet — plus one tidy-up
-                # round after the final window.
-                round_result = self.defragmenter.run_round()
-                self.defrag_rounds += 1
-                if round_result.executed_moves:
-                    self.selector.stats.record_defrag(
-                        round_result.executed_moves)
-            if self.rescaler is not None:
-                # Same safe point: workers are quiescent, so the
-                # autoscaler may mutate the plan through the ledger.
-                self.rescaler.on_window(self._snapshot(workers, window))
-            if self.migrator is not None:
-                # After the rescaler: drain orders it just issued (and
-                # any due DC failures) execute at this same barrier.
-                self.migrator.on_window(self._snapshot(workers, window))
-        wall = time.perf_counter() - start
+        anchor: Optional[float] = None
+        last_t: Optional[float] = None
+        failed = True
+        self._start()
+        try:
+            start = time.perf_counter()
+            for batch in batches:
+                if not isinstance(batch, ColumnarEventBatch):
+                    raise SwitchboardError(
+                        f"the service serves columnar input only (a "
+                        f"ColumnarEventBatch or an iterable of them); got "
+                        f"an iterable of {type(batch).__name__}")
+                if len(batch) == 0:
+                    continue
+                if (self._barriers and last_t is not None
+                        and float(batch.t_s[0]) < last_t):
+                    raise SwitchboardError(
+                        f"batch starts at t={float(batch.t_s[0]):.1f}s, "
+                        f"before the previous window's last event at "
+                        f"t={last_t:.1f}s: window barriers need "
+                        f"time-ordered input")
+                self._batch = batch
+                self._load(batch)
+                ranges, anchor = self._window_ranges(batch, anchor)
+                for lo, hi in ranges:
+                    self._serve_window(batch, lo, hi)
+                    n_events += hi - lo
+                    self._barrier(float(batch.t_s[hi - 1]))
+                last_t = float(batch.t_s[-1])
+            wall = time.perf_counter() - start
+            fields = self._finish()
+            failed = False
+        finally:
+            self._batch = None
+            self._stop(failed)
         if n_events == 0:
             raise SwitchboardError("no events to serve")
 
-        report = self._report(workers, n_events, wall)
+        report = self._report(fields, n_events, wall)
         if self.obs is not None:
             self.obs.record("service.done", label="admission",
                             events_per_s=report.events_per_s,
@@ -423,208 +268,65 @@ class AdmissionEngine:
         return report
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _snapshot(workers: List[_WorkerState], window) -> ServiceSnapshot:
-        """Cumulative accounting at the just-served window's boundary."""
-        if isinstance(window, ColumnarEventBatch):
-            t_s = float(window.t_s[-1])
-        else:
-            t_s = float(window[-1].t_s)
-        return ServiceSnapshot(
-            t_s=t_s,
-            generated=sum(w.generated for w in workers),
-            admitted=sum(w.admitted for w in workers),
-            migrated=sum(w.migrated for w in workers),
-            overflowed=sum(w.overflowed for w in workers),
-            unplanned=sum(w.unplanned for w in workers),
-            events_processed=sum(w.processed for w in workers),
-        )
-
-    # ------------------------------------------------------------------
-    def _window_source(self, events) -> Tuple[Iterator, Optional[int]]:
-        """Normalize any accepted input into an iterator of defrag
-        windows (each a ``List[ControllerEvent]`` or a
-        ``ColumnarEventBatch``), plus the total event count when it is
-        knowable without draining a stream."""
-        if isinstance(events, ColumnarEventBatch):
-            return self._split_windows(iter([events])), len(events)
-        iterator = iter(events)
-        try:
-            first = next(iterator)
-        except StopIteration:
-            return iter(()), 0
-        rest = itertools.chain([first], iterator)
-        if isinstance(first, ColumnarEventBatch):
-            return self._split_windows(rest), None
-        stream = list(rest)
-        return iter(self._batches(stream)), len(stream)
-
-    def _split_windows(self, batches: Iterator[ColumnarEventBatch]
-                       ) -> Iterator[ColumnarEventBatch]:
-        """Split columnar batches into defrag windows, lazily.
-
-        Same windowing as :meth:`_batches`: fixed intervals anchored at
-        the stream's first timestamp, empty windows merged forward — but
-        computed as one vectorized bucketing per batch.
-        """
-        interval = self._window_interval_s
-        anchor: Optional[float] = None
-        for batch in batches:
-            if len(batch) == 0:
-                continue
-            if interval is None:
-                yield batch
-                continue
-            if anchor is None:
-                anchor = float(batch.t_s[0])
-            window = np.floor_divide(batch.t_s - anchor,
-                                     interval).astype(np.int64)
-            cuts = np.flatnonzero(np.diff(window)) + 1
-            last = 0
-            for cut in itertools.chain(cuts.tolist(), [len(batch)]):
-                cut = int(cut)
-                if cut > last:
-                    yield batch.slice(last, cut)
-                last = cut
-
-    def _batches(self, stream: List[ControllerEvent]
-                 ) -> List[List[ControllerEvent]]:
-        """Split the time-sorted stream into defrag windows.
-
-        Without a defragmenter or rescaler (or an interval) the whole
-        stream is one batch and serving behaves exactly as before.
-        """
+    def _window_ranges(self, batch: ColumnarEventBatch,
+                       anchor: Optional[float]
+                       ) -> Tuple[List[Tuple[int, int]], Optional[float]]:
+        """Split a batch into barrier windows: fixed intervals anchored
+        at the stream's first timestamp, empty windows merged forward,
+        as one vectorized bucketing per batch.  Without barrier
+        consumers the whole batch is one window."""
         interval = self._window_interval_s
         if interval is None:
-            return [stream]
-        batches: List[List[ControllerEvent]] = []
-        window_end = stream[0].t_s + interval
-        current: List[ControllerEvent] = []
-        for event in stream:
-            if event.t_s >= window_end and current:
-                batches.append(current)
-                current = []
-                while event.t_s >= window_end:
-                    window_end += interval
-            current.append(event)
-        if current:
-            batches.append(current)
-        return batches
+            return [(0, len(batch))], anchor
+        if anchor is None:
+            anchor = float(batch.t_s[0])
+        window = np.floor_divide(batch.t_s - anchor,
+                                 interval).astype(np.int64)
+        cuts = np.flatnonzero(np.diff(window)) + 1
+        ranges: List[Tuple[int, int]] = []
+        last = 0
+        for cut in itertools.chain(cuts.tolist(), [len(batch)]):
+            if cut > last:
+                ranges.append((last, cut))
+            last = cut
+        return ranges, anchor
 
-    def _serve_window(self, workers: List[_WorkerState], window) -> None:
-        if isinstance(window, ColumnarEventBatch):
-            if self.n_workers == 1:
-                # Hot path: no threads, no queue, no event objects — and
-                # the arrays converted to plain Python scalars up front
-                # (per-row numpy scalar indexing costs more than the
-                # dispatch itself at stream scale).  Joins are the bulk
-                # of the stream and only ever *write* to the call's
-                # spread hash, which nothing in the serving loop reads —
-                # so each call's joins are buffered and ride one
-                # pipelined trip, flushed no later than the call's
-                # freeze/end (before its close could delete the key).
-                # Per-op results and final store state are identical to
-                # per-event writes because spread increments commute.
-                worker = workers[0]
-                trace = window.trace
-                ids = trace.call_ids()
-                countries = trace.countries
-                dispatch = self._dispatch_row
-                note_join = self._note_join
-                record_joins = self.client.record_joins
-                pending: Dict[str, List[str]] = {}
-                for call_index, code, country_code, media_code in zip(
-                        window.call_idx.tolist(), window.type_code.tolist(),
-                        window.country_code.tolist(),
-                        window.media_code.tolist()):
-                    if code == _JOIN:
-                        if country_code < 0:
-                            worker.dropped += 1
-                            continue
-                        call_id = ids[call_index]
-                        pending.setdefault(call_id, []).append(
-                            countries.value(country_code))
-                        worker.joins += 1
-                        if note_join is not None:
-                            note_join(call_id)
-                        worker.processed += 1
-                        continue
-                    if code == _FREEZE or code == _END:
-                        joined = pending.pop(ids[call_index], None)
-                        if joined is not None:
-                            record_joins(ids[call_index], joined)
-                    dispatch(worker, trace, call_index, ids[call_index],
-                             code, country_code, media_code)
-                for call_id, joined in pending.items():
-                    record_joins(call_id, joined)
-                return
-            self._shard_columnar(workers, window)
-        else:
-            self._shard_events(workers, window)
-        self._drain(workers)
+    def _barrier(self, t_s: float) -> None:
+        """The window boundary: every worker is quiescent."""
+        if self.defragmenter is not None:
+            # Defrag runs *between* event windows — never while workers
+            # are mutating the fleet — plus one tidy-up round after the
+            # final window.
+            round_result = self.defragmenter.run_round()
+            self.defrag_rounds += 1
+            if round_result.executed_moves:
+                self.selector.stats.record_defrag(round_result.executed_moves)
+        if self.rescaler is not None:
+            # Same safe point: the autoscaler may mutate the plan
+            # through the ledger.
+            self.rescaler.on_window(self._snapshot(t_s))
+        if self.migrator is not None:
+            # After the rescaler: drain orders it just issued (and any
+            # due DC failures) execute at this same barrier.
+            self.migrator.on_window(self._snapshot(t_s))
 
-    def _shard_events(self, workers: List[_WorkerState],
-                      batch: List[ControllerEvent]) -> None:
-        for event in batch:
-            # Stable shard (zlib.crc32, not the randomized builtin hash)
-            # so a given trace always lands on the same workers.
-            index = zlib.crc32(event.call_id.encode("utf-8")) % self.n_workers
-            workers[index].inbox.put(event)
-
-    def _shard_columnar(self, workers: List[_WorkerState],
-                        batch: ColumnarEventBatch) -> None:
-        trace = batch.trace
-        # One crc32 per *call*, then a vectorized gather per event; the
-        # (batch, row) pairs are materialized into events lazily on the
-        # worker threads, overlapping object construction with serving.
-        shard_of_call = np.array(
-            [zlib.crc32(trace.call_id(i).encode("utf-8")) % self.n_workers
-             for i in range(trace.n_calls)], dtype=np.int64)
-        targets = shard_of_call[batch.call_idx]
-        for i, target in enumerate(targets.tolist()):
-            workers[target].inbox.put((batch, i))
-
-    def _drain(self, workers: List[_WorkerState]) -> None:
-        """Run every worker's inbox to completion on its own thread."""
-        for worker in workers:
-            worker.inbox.put(None)  # sentinel
-
-        errors: List[BaseException] = []
-        error_lock = threading.Lock()
-
-        def drain(worker: _WorkerState) -> None:
-            while True:
-                item = worker.inbox.get()
-                if item is None:
-                    return
-                try:
-                    if type(item) is tuple:
-                        self._handle_row(worker, item[0], item[1])
-                    else:
-                        self._handle(worker, item)
-                except BaseException as exc:  # surface, don't swallow
-                    with error_lock:
-                        errors.append(exc)
-                    return
-
-        threads = [threading.Thread(target=drain, args=(worker,), daemon=True)
-                   for worker in workers]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise SwitchboardError(
-                f"admission worker failed: {errors[0]!r}") from errors[0]
-
-    # ------------------------------------------------------------------
-    def _report(self, workers: List[_WorkerState], n_events: int,
-                wall_s: float) -> ServiceReport:
-        processed = sum(w.processed for w in workers)
-        unsettled = sum(
-            1 for w in workers
-            for state in w.calls.values() if not state.settled
+    def _snapshot(self, t_s: float) -> ServiceSnapshot:
+        """Cumulative accounting at the just-served window's boundary."""
+        counts = self._worker_counts()
+        return ServiceSnapshot(
+            t_s=t_s,
+            generated=sum(c["generated"] for c in counts),
+            admitted=self._admitted,
+            migrated=self._migrated,
+            overflowed=self._overflowed,
+            unplanned=self._unplanned,
+            events_processed=sum(c["processed"] for c in counts),
         )
+
+    def _report(self, fields: Dict[str, Any], n_events: int,
+                wall_s: float) -> ServiceReport:
+        counts = fields.pop("counts")
+        processed = sum(c["processed"] for c in counts)
         stats = self.selector.stats
         packing: Dict[str, object] = {}
         metrics_fn = getattr(self.ledger, "fleet_metrics", None)
@@ -642,26 +344,23 @@ class AdmissionEngine:
             migration_latency = self.migrator.latency.percentiles()
         return ServiceReport(
             n_workers=self.n_workers,
-            n_shards=getattr(self.store, "n_shards", 1),
+            executor=self.executor,
             events_total=n_events,
             events_processed=processed,
-            dropped_events=sum(w.dropped for w in workers),
-            joins=sum(w.joins for w in workers),
-            media_changes=sum(w.media_changes for w in workers),
-            generated_calls=sum(w.generated for w in workers),
-            admitted_calls=sum(w.admitted for w in workers),
-            migrated_calls=sum(w.migrated for w in workers),
-            overflowed_calls=sum(w.overflowed for w in workers),
-            unplanned_calls=sum(w.unplanned for w in workers),
-            early_ended_calls=sum(w.early_ended for w in workers),
-            ended_calls=sum(w.ended for w in workers),
-            unsettled_calls=unsettled,
+            dropped_events=sum(c["dropped"] for c in counts),
+            joins=sum(c["joins"] for c in counts),
+            media_changes=sum(c["media_changes"] for c in counts),
+            generated_calls=sum(c["generated"] for c in counts),
+            admitted_calls=self._admitted,
+            migrated_calls=self._migrated,
+            overflowed_calls=self._overflowed,
+            unplanned_calls=self._unplanned,
+            early_ended_calls=sum(c["early_ended"] for c in counts),
+            ended_calls=sum(c["ended"] for c in counts),
             wall_time_s=wall_s,
             events_per_s=processed / wall_s if wall_s > 0 else 0.0,
             admission_latency_ms=self.admission_latency.percentiles(),
             settle_latency_ms=self.settle_latency.percentiles(),
-            kv_latency_ms=self.store.latency_percentiles_ms(),
-            kv_op_count=self.store.op_count,
             migration_rate=stats.migration_rate,
             mean_acl_ms=stats.mean_acl_ms,
             defrag_migrated_calls=stats.defrag_migrations,
@@ -676,4 +375,71 @@ class AdmissionEngine:
             migration_batches=int(migration.get("batches", 0)),
             migration_latency_ms=migration_latency,
             migration=migration,
+            **fields,
         )
+
+
+class AdmissionEngine(ServingPlane):
+    """The thread transport: kernels share the engine's store and call
+    the shared side directly.
+
+    One worker serves each window on the calling thread; N workers
+    serve their crc32 partitions of the window on N threads.
+    """
+
+    def _start(self) -> None:
+        port = SimpleNamespace(
+            settle=self._settle_row, skip=None,
+            join=self._join_row if self._note_join is not None else None,
+            end=(self._end_row if (self._release_call is not None
+                                   or self._note_end is not None)
+                 else None))
+        self._kernels = [
+            AdmissionKernel(self.topology, self.store, port,
+                            self.admission_latency.record)
+            for _ in range(self.n_workers)]
+
+    def _load(self, batch: ColumnarEventBatch) -> None:
+        if self.n_workers > 1:
+            self._owner = shard_of_call(batch.trace, self.n_workers)
+
+    def _serve_window(self, batch: ColumnarEventBatch, lo: int,
+                      hi: int) -> None:
+        if self.n_workers == 1:
+            self._kernels[0].serve(batch, range(lo, hi))
+            return
+        owners = self._owner[batch.call_idx[lo:hi]]
+        errors: List[BaseException] = []
+
+        def serve(kernel: AdmissionKernel, rows: np.ndarray) -> None:
+            try:
+                kernel.serve(batch, rows)
+            except BaseException as exc:  # surface, don't swallow
+                errors.append(exc)
+
+        threads = [threading.Thread(
+            target=serve, daemon=True,
+            args=(kernel, np.flatnonzero(owners == w) + lo))
+            for w, kernel in enumerate(self._kernels)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise SwitchboardError(
+                f"admission worker failed: {errors[0]!r}") from errors[0]
+
+    def _worker_counts(self) -> List[Dict[str, int]]:
+        return [kernel.counts for kernel in self._kernels]
+
+    def _finish(self) -> Dict[str, Any]:
+        return {
+            "counts": self._worker_counts(),
+            "unsettled_calls": sum(k.unsettled() for k in self._kernels),
+            "n_shards": getattr(self.store, "n_shards", 1),
+            "kv_latency_ms": self.store.latency_percentiles_ms(),
+            "kv_op_count": self.store.op_count,
+        }
+
+    def _stop(self, failed: bool) -> None:
+        pass

@@ -15,23 +15,22 @@ same serving plane across OS processes:
   control pipe.
 * **Call-granularity partitions** — calls shard to workers by
   ``crc32(call_id) % n_workers`` (the thread engine's rule), and each
-  worker serves its rows of every window with a private kvstore and the
-  same per-call pipelined write batching as the single-worker fast
-  path.
+  worker serves its rows of every window through the same
+  :class:`~repro.service.kernel.AdmissionKernel` as the thread engine,
+  over a private kvstore.
 * **A parent-owned ledger actor** — every outcome-affecting shared
   structure (slot/fleet ledger, selector stats, defragmenter,
-  autoscaler, settle latencies) lives in the parent.  Workers send
-  ledger-touching rows (freezes; joins/ends when a fleet ledger needs
-  them) over the control pipe; the parent applies them in **global row
-  order** by walking a precomputed schedule of which worker owns each
-  such row.  A freeze is a blocking round-trip (the worker needs the
-  outcome to write migrations); joins/releases are fire-and-forget.
-  This makes ledger state, selector statistics, and the accounting
-  partition byte-identical to the single-process oracle.
+  autoscaler, migrator, settle latencies) lives in the parent.  The
+  worker's kernel port turns each shared-state call into a pipe
+  message; the parent applies them in **global row order** by walking
+  a precomputed schedule of which worker owns each such row.  A settle
+  is a blocking round-trip (the worker needs the outcome to write
+  migrations); joins/ends are fire-and-forget.  This makes ledger
+  state, selector statistics, and the accounting partition
+  byte-identical to the single-process oracle.
 * **Barriers** — windows end with a ``done`` barrier from every worker
-  (all quiescent), after which the parent runs the defragmenter and/or
-  autoscaler exactly where the thread engine does, then opens the next
-  window.
+  (all quiescent), after which the parent runs the shared
+  defrag → rescaler → migrator barrier, then opens the next window.
 * **Merge** — per-worker report fragments (counters, latency samples,
   kv op counts, final store state) fold into one
   :class:`~repro.service.report.ServiceReport` that still satisfies
@@ -44,11 +43,8 @@ this engine when ``ServiceConfig.executor == "process"``.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
-import time
 import traceback
-import zlib
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
@@ -56,31 +52,20 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.errors import SwitchboardError
-from repro.core.types import MediaType
-from repro.core.units import DEFAULT_FREEZE_WINDOW_S
 from repro.allocation.plan import AllocationPlan
-from repro.allocation.realtime import (
-    KVSlotLedger,
-    RealTimeSelector,
-    SlotLedger,
-)
-from repro.autoscale.telemetry import ServiceSnapshot
 from repro.controller.columnar import ColumnarEventBatch
-from repro.controller.events import EVENT_SORT_CODE, EventType
-from repro.kvstore.client import PipelinedStateClient
 from repro.kvstore.sharded import ShardedKVStore
 from repro.kvstore.store import InMemoryKVStore, LatencyProfile
-from repro.obs.events import Observability
-from repro.obs.histogram import LatencyHistogram, percentiles_ms
-from repro.service.report import ServiceReport
+from repro.obs.histogram import percentiles_ms
+from repro.service.engine import ServingPlane
+from repro.service.kernel import (
+    COUNTER_FIELDS,
+    AdmissionKernel,
+    shard_of_call,
+    shared_rows,
+)
 from repro.topology.builder import Topology
 from repro.workload.columnar import ColumnarTrace, StringTable
-
-_START = EVENT_SORT_CODE[EventType.CALL_START]
-_JOIN = EVENT_SORT_CODE[EventType.PARTICIPANT_JOIN]
-_MEDIA = EVENT_SORT_CODE[EventType.MEDIA_CHANGE]
-_FREEZE = EVENT_SORT_CODE[EventType.CONFIG_FREEZE]
-_END = EVENT_SORT_CODE[EventType.CALL_END]
 
 #: Cap on per-worker latency samples shipped back at drain; merging is
 #: for percentile reporting, not accounting, so a bounded sample is fine.
@@ -311,157 +296,58 @@ class _AttachedBatch:
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
-class _WorkerCall:
-    """Per-call serving state, private to one worker process."""
+class _PipePort:
+    """The kernel's port inside a worker: each call is a message to the
+    parent's ledger actor.
 
-    __slots__ = ("initial_dc", "settled", "ended")
+    Every scheduled row (see :func:`~repro.service.kernel.shared_rows`)
+    emits exactly one message; ``settle`` blocks for the ``outcome``
+    reply, the rest are fire-and-forget.
+    """
 
-    def __init__(self, initial_dc: str):
-        self.initial_dc = initial_dc
-        self.settled = False
-        self.ended = False
+    def __init__(self, conn, fleet: bool):
+        self.conn = conn
+        self.join = self._join if fleet else None
+        self.end = self._end if fleet else None
 
+    def settle(self, row: int, call_index: int, initial_dc: str,
+               ended: bool) -> Tuple[str, bool]:
+        self.conn.send(("settle", row, call_index, initial_dc, ended))
+        reply = self.conn.recv()
+        if reply[0] != "outcome":
+            raise SwitchboardError(
+                f"expected settle outcome, got {reply[0]!r}")
+        return reply[1], reply[2]
 
-class _Counters:
-    """One worker's cumulative counters (the fragment it reports)."""
+    def skip(self, row: int) -> None:
+        self.conn.send(("skip", row))
 
-    FIELDS = ("processed", "dropped", "joins", "media_changes",
-              "generated", "early_ended", "ended")
-    __slots__ = FIELDS
+    def _join(self, row: int, call_id: Optional[str]) -> None:
+        self.conn.send(("join", row, call_id))
 
-    def __init__(self):
-        for name in self.FIELDS:
-            setattr(self, name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.FIELDS}
+    def _end(self, row: int, call_id: Optional[str]) -> None:
+        self.conn.send(("end", row, call_id))
 
 
 def _worker_main(worker_index: int, topology: Topology,
                  store_spec: StoreSpec, fleet: bool, conn) -> None:
     """Worker-process entry point: serve my call partition of every
-    window, routing ledger-touching rows through the parent actor.
+    window through the kernel, its port wired to the parent actor.
 
     Protocol (worker side):
 
     * recv ``("batch", meta)`` — attach the shared-memory segment;
-    * recv ``("serve", lo, hi)`` — serve my rows of ``[lo, hi)``; every
-      scheduled row emits exactly one message (``settle`` blocks for the
-      ``outcome`` reply; ``join``/``release``/``skip`` do not); finish
-      with ``("done", counters)``;
+    * recv ``("serve", lo, hi)`` — serve my rows of ``[lo, hi)``, then
+      send ``("done", counters)``;
     * recv ``("finish",)`` — reply ``("result", fragment)`` and exit.
     """
-    calls: Dict[str, _WorkerCall] = {}
-    counters = _Counters()
     admission_ms: List[float] = []
     current: Optional[_AttachedBatch] = None
     try:
         store = store_spec.build()
-        client = PipelinedStateClient(store)
-        record_joins = client.record_joins
+        kernel = AdmissionKernel(topology, store, _PipePort(conn, fleet),
+                                 admission_ms.append)
         conn.send(("ready", worker_index))
-
-        def serve(batch: _AttachedBatch, lo: int, hi: int) -> None:
-            trace = batch.trace
-            ids = trace.call_ids()
-            countries = trace.countries
-            owners = batch.shard_of_call[batch.call_idx[lo:hi]]
-            rows = np.flatnonzero(owners == worker_index) + lo
-            # Same per-call join batching as the thread engine's
-            # single-worker fast path: each call's joins ride one
-            # pipelined trip, flushed no later than its freeze/end.
-            pending: Dict[str, List[str]] = {}
-            for row, call_index, code, country_code, media_code in zip(
-                    rows.tolist(),
-                    batch.call_idx[rows].tolist(),
-                    batch.type_code[rows].tolist(),
-                    batch.country_code[rows].tolist(),
-                    batch.media_code[rows].tolist()):
-                if code == _JOIN:
-                    if country_code < 0:
-                        counters.dropped += 1
-                        if fleet:
-                            conn.send(("skip", row))
-                        continue
-                    call_id = ids[call_index]
-                    pending.setdefault(call_id, []).append(
-                        countries.value(country_code))
-                    counters.joins += 1
-                    if fleet:
-                        conn.send(("join", row, call_id))
-                    counters.processed += 1
-                    continue
-                call_id = ids[call_index]
-                if code == _FREEZE or code == _END:
-                    joined = pending.pop(call_id, None)
-                    if joined is not None:
-                        record_joins(call_id, joined)
-                if code == _START:
-                    if country_code < 0:
-                        counters.dropped += 1
-                        continue
-                    t0 = time.perf_counter()
-                    country = countries.value(country_code)
-                    initial = topology.closest_dc(country)
-                    calls[call_id] = _WorkerCall(initial)
-                    client.open_call(call_id, initial, country)
-                    counters.generated += 1
-                    admission_ms.append((time.perf_counter() - t0) * 1e3)
-                elif code == _MEDIA:
-                    if media_code < 0:
-                        counters.dropped += 1
-                        continue
-                    client.record_media(call_id, MediaType.from_code(media_code))
-                    counters.media_changes += 1
-                elif code == _FREEZE:
-                    state = calls.get(call_id)
-                    if state is None or state.settled:
-                        counters.dropped += 1
-                        conn.send(("skip", row))
-                        continue
-                    # Blocking settle round-trip: the parent runs the
-                    # selector against the shared ledger and replies
-                    # with the outcome this worker must write.
-                    conn.send(("settle", row, call_index,
-                               state.initial_dc, state.ended))
-                    reply = conn.recv()
-                    if reply[0] != "outcome":
-                        raise SwitchboardError(
-                            f"expected settle outcome, got {reply[0]!r}")
-                    final_dc, migrated = reply[1], reply[2]
-                    state.settled = True
-                    if migrated:
-                        client.migrate_call(call_id, final_dc)
-                    if state.ended:
-                        # Hung up pre-freeze; settled against the plan
-                        # anyway, state released now (parent releases
-                        # the reservation off the settle message).
-                        client.close_call(call_id)
-                        del calls[call_id]
-                elif code == _END:
-                    state = calls.get(call_id)
-                    if state is None:
-                        counters.dropped += 1
-                        if fleet:
-                            conn.send(("skip", row))
-                        continue
-                    counters.ended += 1
-                    if state.settled:
-                        client.close_call(call_id)
-                        del calls[call_id]
-                        if fleet:
-                            conn.send(("release", row, call_id))
-                    else:
-                        state.ended = True
-                        counters.early_ended += 1
-                        if fleet:
-                            conn.send(("skip", row))
-                else:
-                    raise SwitchboardError(f"unknown event code {code}")
-                counters.processed += 1
-            for call_id, joined in pending.items():
-                record_joins(call_id, joined)
-
         while True:
             msg = conn.recv()
             kind = msg[0]
@@ -470,13 +356,15 @@ def _worker_main(worker_index: int, topology: Topology,
                     current.close()
                 current = _AttachedBatch(msg[1])
             elif kind == "serve":
-                serve(current, msg[1], msg[2])
-                conn.send(("done", counters.as_dict()))
+                lo, hi = msg[1], msg[2]
+                owners = current.shard_of_call[current.call_idx[lo:hi]]
+                kernel.serve(current,
+                             np.flatnonzero(owners == worker_index) + lo)
+                conn.send(("done", dict(kernel.counts)))
             elif kind == "finish":
                 fragment = {
-                    "counters": counters.as_dict(),
-                    "unsettled": sum(1 for state in calls.values()
-                                     if not state.settled),
+                    "counts": kernel.counts,
+                    "unsettled": kernel.unsettled(),
                     "admission_ms": admission_ms[:_MAX_SHIPPED_SAMPLES],
                     "kv_op_count": store.op_count,
                     "kv_samples_ms":
@@ -501,111 +389,48 @@ def _worker_main(worker_index: int, topology: Topology,
 # ----------------------------------------------------------------------
 # parent engine
 # ----------------------------------------------------------------------
-class MultiprocessAdmissionEngine:
-    """The process-executor twin of :class:`AdmissionEngine`.
+class MultiprocessAdmissionEngine(ServingPlane):
+    """The process transport: one OS process per worker.
 
-    Same construction surface (plus ``worker_store_spec``), same
-    :class:`ServiceReport`, byte-identical accounting and store state —
-    pinned against the thread oracle in ``tests/test_mpservice.py``.
-    ``store`` here is the **parent-side** store: it holds the slot
-    ledger (and any injected fleet ledger's keys) and folds into the
-    merged op count and state dump; per-call state lives in the
-    workers' private stores built from ``worker_store_spec``.
+    Same construction surface as :class:`AdmissionEngine` (plus
+    ``worker_store_spec``), same :class:`ServiceReport`, byte-identical
+    accounting and store state — pinned against the thread oracle in
+    ``tests/test_mpservice.py``.  ``store`` here is the **parent-side**
+    store: it holds the slot ledger (and any injected fleet ledger's
+    keys) and folds into the merged op count and state dump; per-call
+    state lives in the workers' private stores built from
+    ``worker_store_spec``.
 
     Prefer building through
     :meth:`repro.service.runtime.ServiceRuntime.from_config`.
     """
 
+    executor = "process"
+
     def __init__(self, topology: Topology, plan: AllocationPlan,
                  store: Optional[Union[ShardedKVStore,
-                                       InMemoryKVStore]] = None,
-                 n_workers: int = 1,
-                 freeze_window_s: float = DEFAULT_FREEZE_WINDOW_S,
-                 obs: Optional[Observability] = None,
-                 ledger: Optional[SlotLedger] = None,
-                 defragmenter=None,
-                 defrag_interval_s: Optional[float] = None,
-                 rescaler=None,
-                 rescale_interval_s: Optional[float] = None,
-                 migrator=None,
-                 migrate_interval_s: Optional[float] = None,
-                 worker_store_spec: Optional[StoreSpec] = None):
-        if n_workers < 1:
-            raise SwitchboardError("need at least one admission worker")
-        if defrag_interval_s is not None and defrag_interval_s <= 0:
-            raise SwitchboardError("defrag_interval_s must be positive")
-        if rescale_interval_s is not None and rescale_interval_s <= 0:
-            raise SwitchboardError("rescale_interval_s must be positive")
-        if migrate_interval_s is not None and migrate_interval_s <= 0:
-            raise SwitchboardError("migrate_interval_s must be positive")
-        self.topology = topology
+                                       InMemoryKVStore]] = None, *,
+                 worker_store_spec: Optional[StoreSpec] = None,
+                 **kwargs):
         # The parent ledger store deliberately simulates no latency:
         # settles serialize through the parent actor, and their cost
         # must not scale with the workers they coordinate.  Ops are
         # still counted, so op-count parity with the oracle holds.
-        self.store = store if store is not None else InMemoryKVStore()
-        self.n_workers = n_workers
-        self.freeze_window_s = freeze_window_s
-        self.obs = obs
+        super().__init__(topology, plan,
+                         store if store is not None else InMemoryKVStore(),
+                         **kwargs)
         self.worker_store_spec = (worker_store_spec
                                   if worker_store_spec is not None
                                   else StoreSpec())
-        self.ledger = ledger if ledger is not None else KVSlotLedger(self.store)
-        self.planned_cells = self.ledger.load_plan(plan)
-        self.selector = RealTimeSelector(topology, plan, freeze_window_s,
-                                         ledger=self.ledger)
-        self.defragmenter = defragmenter
-        self.defrag_interval_s = defrag_interval_s
-        self.defrag_rounds = 0
-        self.rescaler = rescaler
-        if rescaler is not None and rescale_interval_s is None:
-            config = getattr(rescaler, "config", None)
-            rescale_interval_s = getattr(config, "interval_s", None)
-        self.rescale_interval_s = (rescale_interval_s
-                                   if rescaler is not None else None)
-        # Same window-barrier ordering as the thread engine: defrag,
-        # then rescaler, then migrator — drain orders a rescale just
-        # issued execute in the same window, identically on both
-        # executors.
-        self.migrator = migrator
-        if migrator is not None and migrate_interval_s is None:
-            migrate_interval_s = getattr(migrator, "interval_s", None)
-        self.migrate_interval_s = (migrate_interval_s
-                                   if migrator is not None else None)
-        intervals = [i for i in (
-            defrag_interval_s if defragmenter is not None else None,
-            self.rescale_interval_s,
-            self.migrate_interval_s,
-        ) if i is not None]
-        self._window_interval_s = min(intervals) if intervals else None
-        if rescaler is not None:
-            bind = getattr(rescaler, "bind", None)
-            if bind is not None:
-                bind(self)
-        if migrator is not None:
-            migrator.bind(self)
-        self.admission_latency = LatencyHistogram()
-        self.settle_latency = LatencyHistogram()
-        self._note_join = getattr(self.ledger, "note_join", None)
-        self._release_call = getattr(self.ledger, "release", None)
-        # The migrator's registry hears every call end; its settle feed
-        # is wired through the selector at bind time.  Its presence
-        # forces the fleet schedule (joins/ends routed to the parent)
-        # even over a plain slot ledger, so the registry stays exact.
-        self._note_end = (migrator.registry.on_end
-                          if migrator is not None else None)
+        # The migrator's presence forces the fleet schedule (joins/ends
+        # routed to the parent) even over a plain slot ledger, so its
+        # registry stays exact.
         self._fleet = (self._note_join is not None
                        or self._release_call is not None
-                       or migrator is not None)
-        # Outcome counters (the parent settles, so the parent counts).
-        self._admitted = 0
-        self._migrated = 0
-        self._overflowed = 0
-        self._unplanned = 0
+                       or self.migrator is not None)
         self._procs: List[Any] = []
         self._conns: List[Any] = []
         self._segments: List[shared_memory.SharedMemory] = []
-        self._kv_samples: List[float] = []
         self._merged_state: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
@@ -619,228 +444,16 @@ class MultiprocessAdmissionEngine:
         return self._merged_state
 
     # ------------------------------------------------------------------
-    def run(self, events: Union[ColumnarEventBatch,
-                                Iterable[ColumnarEventBatch]]) -> ServiceReport:
-        """Serve the stream across worker processes; returns the merged
-        report.  Accepts one columnar batch or an iterable of batches;
-        object event streams need the thread executor."""
-        batches = self._batch_source(events)
-        if self.obs is not None:
-            self.obs.record("service.run", label="admission",
-                            n_workers=self.n_workers, executor="process")
-        self._start_workers()
-        worker_counters: List[Dict[str, int]] = [
-            _Counters().as_dict() for _ in range(self.n_workers)]
-        n_events = 0
-        anchor: Optional[float] = None
-        failed = True
-        try:
-            start = time.perf_counter()
-            for batch in batches:
-                if len(batch) == 0:
-                    continue
-                served, anchor = self._serve_batch(batch, anchor,
-                                                   worker_counters)
-                n_events += served
-            wall = time.perf_counter() - start
-            results = self._drain_workers()
-            failed = False
-        finally:
-            self._shutdown(force=failed)
-            # Segments are unlinked only after every worker has exited:
-            # a worker's attach registers with the resource tracker, and
-            # unlinking while registrations are still in flight races
-            # the tracker into leak warnings at interpreter shutdown.
-            self._release_segments()
-        if n_events == 0:
-            raise SwitchboardError("no events to serve")
-
-        report = self._report(results, worker_counters, n_events, wall)
-        if self.obs is not None:
-            self.obs.record("service.done", label="admission",
-                            events_per_s=report.events_per_s,
-                            accounting_exact=report.accounting_exact)
-        return report
-
+    # transport
     # ------------------------------------------------------------------
-    def _batch_source(self, events):
-        if isinstance(events, ColumnarEventBatch):
-            return [events]
-        iterator = iter(events)
-        try:
-            first = next(iterator)
-        except StopIteration:
-            raise SwitchboardError("no events to serve")
-        if not isinstance(first, ColumnarEventBatch):
-            raise SwitchboardError(
-                "the process executor serves columnar input only (a "
-                "ColumnarEventBatch or an iterable of batches); object "
-                "event streams need executor='thread'")
-        return itertools.chain([first], iterator)
-
-    def _shard_of_call(self, trace: ColumnarTrace) -> np.ndarray:
-        return np.array(
-            [zlib.crc32(trace.call_id(i).encode("utf-8")) % self.n_workers
-             for i in range(trace.n_calls)], dtype=np.int64)
-
-    def _window_ranges(self, batch: ColumnarEventBatch,
-                       anchor: Optional[float]
-                       ) -> Tuple[List[Tuple[int, int]], Optional[float]]:
-        """Same fixed-interval bucketing as the thread engine's
-        ``_split_windows``, anchored at the stream's first timestamp."""
-        interval = self._window_interval_s
-        if interval is None:
-            return [(0, len(batch))], anchor
-        if anchor is None:
-            anchor = float(batch.t_s[0])
-        window = np.floor_divide(batch.t_s - anchor,
-                                 interval).astype(np.int64)
-        cuts = np.flatnonzero(np.diff(window)) + 1
-        ranges: List[Tuple[int, int]] = []
-        last = 0
-        for cut in itertools.chain(cuts.tolist(), [len(batch)]):
-            cut = int(cut)
-            if cut > last:
-                ranges.append((last, cut))
-            last = cut
-        return ranges, anchor
-
-    # ------------------------------------------------------------------
-    def _serve_batch(self, batch: ColumnarEventBatch,
-                     anchor: Optional[float],
-                     worker_counters: List[Dict[str, int]]
-                     ) -> Tuple[int, Optional[float]]:
-        shard_of_call = self._shard_of_call(batch.trace)
-        shm, meta = _pack_segment(batch, shard_of_call)
-        self._segments.append(shm)
-        for conn in self._conns:
-            conn.send(("batch", meta))
-        # The parent's schedule: exactly the rows whose serving
-        # touches shared state, in global row order, each tagged
-        # with the worker that owns it.  Freezes always; joins and
-        # ends only when a fleet ledger consumes them.
-        if self._fleet:
-            mask = ((batch.type_code == _JOIN)
-                    | (batch.type_code == _FREEZE)
-                    | (batch.type_code == _END))
-        else:
-            mask = batch.type_code == _FREEZE
-        sched = np.flatnonzero(mask)
-        sched_rows = sched.tolist()
-        sched_owner = shard_of_call[batch.call_idx[sched]].tolist()
-        ptr = 0
-
-        ranges, anchor = self._window_ranges(batch, anchor)
-        served = 0
-        for lo, hi in ranges:
-            served += hi - lo
-            for conn in self._conns:
-                conn.send(("serve", lo, hi))
-            while ptr < len(sched_rows) and sched_rows[ptr] < hi:
-                owner = sched_owner[ptr]
-                self._apply(batch.trace, sched_rows[ptr],
-                            self._recv(owner), owner)
-                ptr += 1
-            # Window barrier: every worker reports done (and is now
-            # quiescent, blocked on the next control message).
-            for w in range(self.n_workers):
-                msg = self._recv(w)
-                if msg[0] != "done":
-                    raise SwitchboardError(
-                        f"worker {w}: expected window barrier, got "
-                        f"{msg[0]!r}")
-                worker_counters[w] = msg[1]
-            if self.defragmenter is not None:
-                round_result = self.defragmenter.run_round()
-                self.defrag_rounds += 1
-                if round_result.executed_moves:
-                    self.selector.stats.record_defrag(
-                        round_result.executed_moves)
-            if self.rescaler is not None:
-                self.rescaler.on_window(self._snapshot(
-                    float(batch.t_s[hi - 1]), worker_counters))
-            if self.migrator is not None:
-                # After the rescaler, same as the thread engine: drain
-                # orders it just issued (and any due DC failures)
-                # execute at this same barrier.
-                self.migrator.on_window(self._snapshot(
-                    float(batch.t_s[hi - 1]), worker_counters))
-        return served, anchor
-
-    def _release_segments(self) -> None:
-        for shm in self._segments:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-        self._segments = []
-
-    def _apply(self, trace: ColumnarTrace, row: int, msg, owner: int) -> None:
-        """One scheduled row, applied to the shared ledger in-order."""
-        kind = msg[0]
-        if msg[1] != row:
-            raise SwitchboardError(
-                f"worker {owner} answered row {msg[1]} at scheduled row "
-                f"{row}: partition/schedule mismatch")
-        if kind == "settle":
-            _, _, call_index, initial_dc, call_ended = msg
-            t0 = time.perf_counter()
-            outcome = self.selector.settle(trace.call(call_index), initial_dc)
-            if outcome.migrated:
-                self._migrated += 1
-            elif outcome.overflowed:
-                self._overflowed += 1
-            else:
-                self._admitted += 1
-            if not outcome.planned:
-                self._unplanned += 1
-            self.settle_latency.record((time.perf_counter() - t0) * 1e3)
-            self._conns[owner].send(("outcome", outcome.final_dc,
-                                     outcome.migrated, outcome.planned,
-                                     outcome.overflowed))
-            if call_ended:
-                # Early-ended call closing at its freeze: release its
-                # reservation *now*, before the next scheduled row, the
-                # way the oracle's _close does.
-                if self._release_call is not None:
-                    self._release_call(trace.call_id(call_index))
-                if self._note_end is not None:
-                    self._note_end(trace.call_id(call_index))
-        elif kind == "join":
-            if self._note_join is not None:
-                self._note_join(msg[2])
-        elif kind == "release":
-            if self._release_call is not None:
-                self._release_call(msg[2])
-            if self._note_end is not None:
-                self._note_end(msg[2])
-        elif kind == "skip":
-            pass
-        else:
-            raise SwitchboardError(f"unknown worker message {kind!r}")
-
-    def _snapshot(self, t_s: float,
-                  worker_counters: List[Dict[str, int]]) -> ServiceSnapshot:
-        return ServiceSnapshot(
-            t_s=t_s,
-            generated=sum(c["generated"] for c in worker_counters),
-            admitted=self._admitted,
-            migrated=self._migrated,
-            overflowed=self._overflowed,
-            unplanned=self._unplanned,
-            events_processed=sum(c["processed"] for c in worker_counters),
-        )
-
-    # ------------------------------------------------------------------
-    # worker lifecycle
-    # ------------------------------------------------------------------
-    def _start_workers(self) -> None:
+    def _start(self) -> None:
         # fork inherits the imported world for free; spawn works too but
         # pays re-import, so it is only the fallback (non-POSIX hosts).
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
+        self._counts = [dict.fromkeys(COUNTER_FIELDS, 0)
+                        for _ in range(self.n_workers)]
         self._procs, self._conns = [], []
         for w in range(self.n_workers):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -855,11 +468,105 @@ class MultiprocessAdmissionEngine:
             self._conns.append(parent_conn)
         # Ready barrier: spawn/import cost stays out of the serve timer.
         for w in range(self.n_workers):
-            msg = self._recv(w)
-            if msg[0] != "ready":
-                raise SwitchboardError(
-                    f"worker {w}: expected ready, got {msg[0]!r}")
+            self._expect(w, "ready")
 
+    def _load(self, batch: ColumnarEventBatch) -> None:
+        owner = shard_of_call(batch.trace, self.n_workers)
+        shm, meta = _pack_segment(batch, owner)
+        self._segments.append(shm)
+        for conn in self._conns:
+            conn.send(("batch", meta))
+        # The parent's schedule: exactly the rows whose serving calls
+        # the port, in global row order, each tagged with its owner.
+        sched = shared_rows(batch.type_code, self._fleet)
+        self._sched_rows = sched.tolist()
+        self._sched_owner = owner[batch.call_idx[sched]].tolist()
+        self._ptr = 0
+
+    def _serve_window(self, batch: ColumnarEventBatch, lo: int,
+                      hi: int) -> None:
+        for conn in self._conns:
+            conn.send(("serve", lo, hi))
+        rows, owners = self._sched_rows, self._sched_owner
+        ptr = self._ptr
+        while ptr < len(rows) and rows[ptr] < hi:
+            self._apply(rows[ptr], owners[ptr])
+            ptr += 1
+        self._ptr = ptr
+        # Window barrier: every worker reports done (and is now
+        # quiescent, blocked on the next control message).
+        for w in range(self.n_workers):
+            self._counts[w] = self._expect(w, "done")[1]
+
+    def _apply(self, row: int, owner: int) -> None:
+        """One scheduled row's message, applied to the shared side in
+        global row order."""
+        msg = self._recv(owner)
+        if msg[1] != row:
+            raise SwitchboardError(
+                f"worker {owner} answered row {msg[1]} at scheduled row "
+                f"{row}: partition/schedule mismatch")
+        kind = msg[0]
+        if kind == "settle":
+            final_dc, migrated = self._settle_row(*msg[1:])
+            self._conns[owner].send(("outcome", final_dc, migrated))
+        elif kind == "join":
+            self._join_row(row, msg[2])
+        elif kind == "end":
+            self._end_row(row, msg[2])
+        elif kind != "skip":
+            raise SwitchboardError(f"unknown worker message {kind!r}")
+
+    def _worker_counts(self) -> List[Dict[str, int]]:
+        return self._counts
+
+    def _finish(self) -> Dict[str, Any]:
+        for conn in self._conns:
+            conn.send(("finish",))
+        results = [self._expect(w, "result")[1]
+                   for w in range(self.n_workers)]
+        kv_samples: List[float] = []
+        for r in results:
+            self.admission_latency.record_many(r["admission_ms"])
+            kv_samples.extend(r["kv_samples_ms"])
+        kv_samples.extend(_store_latency_samples(self.store))
+        self._merged_state = merge_store_states(
+            [r["state"] for r in results] + [dump_store_state(self.store)])
+        spec = self.worker_store_spec
+        return {
+            "counts": [r["counts"] for r in results],
+            "unsettled_calls": sum(r["unsettled"] for r in results),
+            "n_shards": spec.n_shards if spec.kind == "sharded" else 1,
+            "kv_latency_ms": percentiles_ms(kv_samples),
+            "kv_op_count": (sum(r["kv_op_count"] for r in results)
+                            + self.store.op_count),
+        }
+
+    def _stop(self, failed: bool) -> None:
+        for proc in self._procs:
+            if failed and proc.is_alive():
+                proc.terminate()
+        for proc in self._procs:
+            proc.join(timeout=10.0)
+        for conn in self._conns:
+            try:
+                conn.close()
+            except OSError:
+                pass
+        self._procs, self._conns = [], []
+        # Segments are unlinked only after every worker has exited: a
+        # worker's attach registers with the resource tracker, and
+        # unlinking while registrations are still in flight races the
+        # tracker into leak warnings at interpreter shutdown.
+        for shm in self._segments:
+            shm.close()
+            try:
+                shm.unlink()
+            except FileNotFoundError:
+                pass
+        self._segments = []
+
+    # ------------------------------------------------------------------
     def _recv(self, w: int):
         conn, proc = self._conns[w], self._procs[w]
         while not conn.poll(0.05):
@@ -877,95 +584,9 @@ class MultiprocessAdmissionEngine:
                 f"admission worker {w} failed:\n{msg[1]}")
         return msg
 
-    def _drain_workers(self) -> List[Dict[str, Any]]:
-        for conn in self._conns:
-            conn.send(("finish",))
-        results: List[Dict[str, Any]] = []
-        for w in range(self.n_workers):
-            msg = self._recv(w)
-            if msg[0] != "result":
-                raise SwitchboardError(
-                    f"worker {w}: expected result, got {msg[0]!r}")
-            results.append(msg[1])
-        return results
-
-    def _shutdown(self, force: bool) -> None:
-        for proc in self._procs:
-            if force and proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            proc.join(timeout=10.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._procs, self._conns = [], []
-
-    # ------------------------------------------------------------------
-    def _report(self, results: List[Dict[str, Any]],
-                worker_counters: List[Dict[str, int]],
-                n_events: int, wall_s: float) -> ServiceReport:
-        counters = [r["counters"] for r in results]
-        processed = sum(c["processed"] for c in counters)
-        for r in results:
-            self.admission_latency.record_many(r["admission_ms"])
-            self._kv_samples.extend(r["kv_samples_ms"])
-        self._kv_samples.extend(_store_latency_samples(self.store))
-        self._merged_state = merge_store_states(
-            [r["state"] for r in results] + [dump_store_state(self.store)])
-        stats = self.selector.stats
-        packing: Dict[str, object] = {}
-        metrics_fn = getattr(self.ledger, "fleet_metrics", None)
-        if metrics_fn is not None:
-            packing = metrics_fn()
-        autoscale: Dict[str, object] = {}
-        autoscale_fn = getattr(self.rescaler, "autoscale_metrics", None)
-        if autoscale_fn is not None:
-            autoscale = autoscale_fn()
-        migration: Dict[str, object] = {}
-        migration_latency: Dict[str, object] = {}
-        migration_fn = getattr(self.migrator, "migration_metrics", None)
-        if migration_fn is not None:
-            migration = migration_fn()
-            migration_latency = self.migrator.latency.percentiles()
-        return ServiceReport(
-            n_workers=self.n_workers,
-            n_shards=(self.worker_store_spec.n_shards
-                      if self.worker_store_spec.kind == "sharded" else 1),
-            executor="process",
-            events_total=n_events,
-            events_processed=processed,
-            dropped_events=sum(c["dropped"] for c in counters),
-            joins=sum(c["joins"] for c in counters),
-            media_changes=sum(c["media_changes"] for c in counters),
-            generated_calls=sum(c["generated"] for c in counters),
-            admitted_calls=self._admitted,
-            migrated_calls=self._migrated,
-            overflowed_calls=self._overflowed,
-            unplanned_calls=self._unplanned,
-            early_ended_calls=sum(c["early_ended"] for c in counters),
-            ended_calls=sum(c["ended"] for c in counters),
-            unsettled_calls=sum(r["unsettled"] for r in results),
-            wall_time_s=wall_s,
-            events_per_s=processed / wall_s if wall_s > 0 else 0.0,
-            admission_latency_ms=self.admission_latency.percentiles(),
-            settle_latency_ms=self.settle_latency.percentiles(),
-            kv_latency_ms=percentiles_ms(self._kv_samples),
-            kv_op_count=(sum(r["kv_op_count"] for r in results)
-                         + self.store.op_count),
-            migration_rate=stats.migration_rate,
-            mean_acl_ms=stats.mean_acl_ms,
-            defrag_migrated_calls=stats.defrag_migrations,
-            defrag_rounds=self.defrag_rounds,
-            frag_slots_lost=int(packing.get("frag_slots_lost", 0)),
-            packing=packing,
-            rescale_events=int(autoscale.get("rescale_events", 0)),
-            autoscale=autoscale,
-            live_migrated_calls=int(
-                migration.get("live_migrated_calls", 0)),
-            disrupted_calls=int(migration.get("disrupted_calls", 0)),
-            migration_batches=int(migration.get("batches", 0)),
-            migration_latency_ms=migration_latency,
-            migration=migration,
-        )
+    def _expect(self, w: int, kind: str):
+        msg = self._recv(w)
+        if msg[0] != kind:
+            raise SwitchboardError(
+                f"worker {w}: expected {kind}, got {msg[0]!r}")
+        return msg

@@ -13,20 +13,15 @@ supported construction path:
 ...                                                    n_workers=4))
 >>> report = runtime.run(load)
 
-``ServiceConfig.executor`` selects the execution model — ``"thread"``
-(the in-process :class:`~repro.service.engine.AdmissionEngine`, the
-deterministic oracle) or ``"process"``
+``ServiceConfig.executor`` selects the transport around the one
+admission kernel (:mod:`repro.service.kernel`) — ``"thread"`` (the
+in-process :class:`~repro.service.engine.AdmissionEngine`, the
+deterministic oracle at one worker) or ``"process"``
 (:class:`~repro.service.mp.MultiprocessAdmissionEngine`, one OS process
 per worker over shared-memory columnar segments).  Everything else
 (sharding, simulated kv latency, worker count) comes from the same
 config either way, so the two paths are interchangeable and produce
 identical accounting.
-
-Passing the wiring keywords (``ledger``, ``defragmenter``,
-``rescaler``, their intervals) straight to ``AdmissionEngine(...)``
-still works but emits a
-:class:`~repro.core.errors.SwitchboardDeprecationWarning` — escalated
-to an error in the test suite, matching the planner-config precedent.
 """
 
 from __future__ import annotations
@@ -125,8 +120,7 @@ class ServiceRuntime:
                 defragmenter=defragmenter,
                 defrag_interval_s=defrag_interval_s,
                 rescaler=rescaler, rescale_interval_s=rescale_interval_s,
-                migrator=migrator, migrate_interval_s=migrate_interval_s,
-                _via_runtime=True)
+                migrator=migrator, migrate_interval_s=migrate_interval_s)
         return cls(engine, svc.executor)
 
     # ------------------------------------------------------------------
@@ -135,12 +129,11 @@ class ServiceRuntime:
 
         Accepts a :class:`~repro.service.loadgen.GeneratedLoad` or
         :class:`~repro.service.loadgen.StreamingLoad`, a
-        :class:`~repro.controller.columnar.ColumnarEventBatch`, an
-        iterable of batches, or (thread executor only) an object event
-        stream.
+        :class:`~repro.controller.columnar.ColumnarEventBatch`, or an
+        iterable of batches.
         """
         if isinstance(load, GeneratedLoad):
-            payload = load.batch if load.batch is not None else load.events
+            payload = load.batch
         elif isinstance(load, StreamingLoad):
             payload = load.batches()
         else:

@@ -1,4 +1,4 @@
-"""Tests for controller events, service, and the replay engine."""
+"""Tests for controller events and one call's trip through the service plane."""
 
 import pytest
 
@@ -11,9 +11,13 @@ from repro.controller.events import (
     events_of_call,
     peak_event_rate,
 )
-from repro.controller.replay import ReplayEngine
-from repro.controller.service import ControllerService
-from repro.kvstore.store import InMemoryKVStore
+from repro.config import PackingConfig, ServiceConfig
+from repro.controller.columnar import build_event_batch
+from repro.kvstore.client import ControllerStateClient
+from repro.mpservers.server import to_microcores
+from repro.service import ServiceRuntime
+from repro.workload.columnar import ColumnarTrace
+from repro.workload.media import MediaLoadModel
 from repro.workload.trace import CallTrace
 
 
@@ -59,177 +63,138 @@ class TestEvents:
             peak_event_rate([])
 
 
-@pytest.fixture()
-def service(topology):
+def _batch(calls):
+    trace = CallTrace(calls, make_slots(3600.0))
+    return build_event_batch(ColumnarTrace.from_trace(trace))
+
+
+def _plan(dc_id, slots=5.0):
     config = CallConfig.build({"JP": 2}, MediaType.VIDEO)
-    plan = AllocationPlan(
+    return AllocationPlan(
         slots=make_slots(3600.0, 1800.0),
-        shares={(0, config): {"dc-tokyo": 5.0}},
+        shares={(0, config): {dc_id: slots}},
     )
-    return ControllerService(topology, plan, InMemoryKVStore())
+
+
+def _serve(topology, plan, events, n_workers=1, **wiring):
+    runtime = ServiceRuntime.from_config(
+        topology, plan, ServiceConfig(n_workers=n_workers), **wiring)
+    return runtime, runtime.run(events)
 
 
 class TestControllerService:
-    def test_lifecycle_updates_stats_and_store(self, service):
-        call = _call()
-        for event in events_of_call(call):
-            service.handle(event)
-        stats = service.stats
-        assert stats.calls_started == 1
-        assert stats.calls_ended == 1
-        assert stats.joins == 2
-        assert stats.media_changes == 1
-        assert stats.events_processed == len(events_of_call(call))
+    """One call's lifecycle through the service plane."""
 
-    def test_frozen_config_matches_plan_no_migration(self, service):
-        # Frozen config is (JP-2, video): the late IN joiner is excluded.
+    def test_lifecycle_updates_stats_and_store(self, topology):
         call = _call()
-        for event in events_of_call(call):
-            service.handle(event)
-        assert service.stats.migrations == 0
-        assert service.migration_rate == 0.0
+        _, report = _serve(topology, _plan("dc-tokyo"), _batch([call]))
+        assert report.generated_calls == 1
+        assert report.ended_calls == 1
+        assert report.joins == 2
+        assert report.media_changes == 1
+        assert report.events_processed == len(events_of_call(call))
+
+    def test_frozen_config_matches_plan_no_migration(self, topology):
+        # Frozen config is (JP-2, video): the late IN joiner is excluded.
+        _, report = _serve(topology, _plan("dc-tokyo"), _batch([_call()]))
+        assert report.migrated_calls == 0
+        assert report.migration_rate == 0.0
 
     def test_migration_when_plan_disagrees(self, topology):
-        config = CallConfig.build({"JP": 2}, MediaType.VIDEO)
-        plan = AllocationPlan(
-            slots=make_slots(3600.0, 1800.0),
-            shares={(0, config): {"dc-seoul": 5.0}},
-        )
-        service = ControllerService(topology, plan, InMemoryKVStore())
-        for event in events_of_call(_call()):
-            service.handle(event)
-        assert service.stats.migrations == 1
-        assert service.migration_rate == 1.0
+        _, report = _serve(topology, _plan("dc-seoul"), _batch([_call()]))
+        assert report.migrated_calls == 1
+        assert report.migration_rate == 1.0
 
-    def test_migration_rate_requires_calls(self, service):
+    def test_migration_rate_requires_calls(self, topology):
+        runtime = ServiceRuntime.from_config(topology, _plan("dc-tokyo"))
         with pytest.raises(SwitchboardError):
-            service.migration_rate
+            runtime.run([])
 
-    def test_store_cleaned_up_after_end(self, service):
-        for event in events_of_call(_call()):
-            service.handle(event)
-        assert service.client.call_dc("c1") is None
+    def test_store_cleaned_up_after_end(self, topology):
+        runtime, _ = _serve(topology, _plan("dc-tokyo"), _batch([_call()]))
+        assert ControllerStateClient(runtime.store).call_dc("c1") is None
+        assert ControllerStateClient(runtime.store).dc_load("dc-tokyo") == 0
 
 
 class TestReplayEngine:
-    def _events(self, n_calls=30):
-        calls = [_call(f"c{i}", float(i)) for i in range(n_calls)]
-        return event_stream(CallTrace(calls, make_slots(3600.0)))
+    """A trace replayed through the service plane at 1..N workers."""
 
-    def _service(self, topology):
-        config = CallConfig.build({"JP": 2}, MediaType.VIDEO)
-        plan = AllocationPlan(
-            slots=make_slots(3600.0, 1800.0),
-            shares={(0, config): {"dc-tokyo": 100.0}},
-        )
-        return ControllerService(topology, plan, InMemoryKVStore())
+    def _events(self, n_calls=30):
+        return _batch([_call(f"c{i}", float(i)) for i in range(n_calls)])
 
     def test_all_events_processed_single_thread(self, topology):
         events = self._events()
-        service = self._service(topology)
-        result = ReplayEngine(service).replay(events, n_threads=1)
-        assert result.n_events == len(events)
-        assert service.stats.events_processed == len(events)
+        _, report = _serve(topology, _plan("dc-tokyo", 100.0), events)
+        assert report.events_total == len(events)
+        assert report.events_processed == len(events)
 
     def test_multithreaded_processes_everything(self, topology):
         events = self._events()
-        service = self._service(topology)
-        result = ReplayEngine(service).replay(events, n_threads=4)
-        assert service.stats.events_processed == len(events)
-        assert service.stats.calls_started == 30
-        assert service.stats.calls_ended == 30
+        _, report = _serve(topology, _plan("dc-tokyo", 100.0), events,
+                           n_workers=4)
+        assert report.events_processed == len(events)
+        assert report.generated_calls == 30
+        assert report.ended_calls == 30
+        report.require_exact_accounting()
 
     def test_throughput_positive(self, topology):
         events = self._events(10)
-        result = ReplayEngine(self._service(topology)).replay(events, n_threads=2)
-        assert result.events_per_s > 0
-        assert result.throughput_vs_peak > 0
-
-    def test_invalid_args(self, topology):
-        service = self._service(topology)
-        with pytest.raises(SwitchboardError):
-            ReplayEngine(service).replay([], n_threads=1)
-        with pytest.raises(SwitchboardError):
-            ReplayEngine(service).replay(self._events(2), n_threads=0)
+        _, report = _serve(topology, _plan("dc-tokyo", 100.0), events,
+                           n_workers=2)
+        assert report.events_per_s > 0
+        assert report.events_per_s / peak_event_rate(events) > 0
 
     def test_explicit_peak_rate_used(self, topology):
-        events = self._events(10)
-        result = ReplayEngine(self._service(topology)).replay(
-            events, n_threads=1, peak_rate=100.0
-        )
-        assert result.peak_trace_rate == 100.0
-        assert result.throughput_vs_peak == pytest.approx(
-            result.events_per_s / 100.0
-        )
+        from repro.experiments import fig10
+
+        point = fig10.replay(topology, _plan("dc-tokyo", 100.0),
+                             self._events(10), n_threads=1, peak_rate=100.0,
+                             store_median_latency_ms=0.05)
+        assert point.events_per_s > 0
+        assert point.throughput_vs_peak == pytest.approx(
+            point.events_per_s / 100.0)
+
+    def test_invalid_args(self, topology):
+        runtime = ServiceRuntime.from_config(topology, _plan("dc-tokyo"))
+        with pytest.raises(SwitchboardError):
+            runtime.run([])
+        with pytest.raises(SwitchboardError):
+            ServiceConfig(n_workers=0)
 
 
 class TestControllerWithFleet:
-    def _setup(self, topology):
-        from repro.mpservers import MPServerFleet
-        from repro.provisioning.planner import CapacityPlan
+    """Calls placed on MP servers through a packing fleet ledger: placed
+    at the freeze, grown by later joins, released at call end."""
 
-        config = CallConfig.build({"JP": 2}, MediaType.VIDEO)
-        plan = AllocationPlan(
-            slots=make_slots(3600.0, 1800.0),
-            shares={(0, config): {"dc-tokyo": 100.0}},
-        )
-        # Generous pools in the two DCs this test can touch.
-        capacity = CapacityPlan(
-            cores={"dc-tokyo": 64.0, "dc-seoul": 64.0}, link_gbps={}
-        )
-        fleet = MPServerFleet(capacity)
-        service = ControllerService(topology, plan, InMemoryKVStore(),
-                                    fleet=fleet)
-        return service, fleet
+    def _serve(self, topology, dc_id, rows=None):
+        from repro.packing import build_packing
+
+        ledger, _ = build_packing(
+            {"dc-tokyo": 64.0, "dc-seoul": 64.0},
+            PackingConfig(policy="first_fit", defrag_interval_s=None))
+        events = _batch([_call()])
+        if rows is not None:
+            events = events.slice(0, rows)
+        _serve(topology, _plan(dc_id, 100.0), events, ledger=ledger)
+        return ledger
 
     def test_call_lands_on_server_and_releases(self, topology):
-        service, fleet = self._setup(topology)
-        call = _call()
-        for event in events_of_call(call):
-            service.handle(event)
+        ledger = self._serve(topology, "dc-tokyo")
         # Everything released at call end.
-        assert fleet.dc_of("c1") is None
-        assert fleet.pool("dc-tokyo").call_count == 0
+        assert ledger.placements() == {}
+        metrics = ledger.fleet_metrics()
+        assert metrics["placements"] == metrics["releases"] == 1
 
     def test_usage_trued_up_at_freeze(self, topology):
-        service, fleet = self._setup(topology)
-        call = _call()
-        events = events_of_call(call)
-        # Process everything except CALL_END.
-        for event in events:
-            if event.event_type is EventType.CALL_END:
-                break
-            service.handle(event)
-        pool = fleet.pool("dc-tokyo")
-        assert pool.call_count == 1
-        # After the freeze, the server holds the frozen (JP-2, video)
-        # config's cores, not the single first joiner's.
-        from repro.workload.media import MediaLoadModel
-
-        frozen_cores = MediaLoadModel().call_cores(call.config(300.0))
-        assert pool.used_cores == pytest.approx(frozen_cores)
-        # Clean up.
-        service.handle(events[-1])
+        # Serve through the freeze (start, join, media change, freeze).
+        ledger = self._serve(topology, "dc-tokyo", rows=4)
+        assert ledger.placements()["c1"].startswith("dc-tokyo/")
+        # The server holds the frozen (JP-2, video) config's cores, not
+        # the single first joiner's.
+        frozen = MediaLoadModel().call_cores(_call().config(300.0))
+        assert ledger.held_mc_of("c1") == to_microcores(frozen)
 
     def test_fleet_migration_follows_plan(self, topology):
-        from repro.mpservers import MPServerFleet
-        from repro.provisioning.planner import CapacityPlan
-
-        config = CallConfig.build({"JP": 2}, MediaType.VIDEO)
-        plan = AllocationPlan(
-            slots=make_slots(3600.0, 1800.0),
-            shares={(0, config): {"dc-seoul": 5.0}},  # plan disagrees
-        )
-        fleet = MPServerFleet(CapacityPlan(
-            cores={"dc-tokyo": 64.0, "dc-seoul": 64.0}, link_gbps={}
-        ))
-        service = ControllerService(topology, plan, InMemoryKVStore(),
-                                    fleet=fleet)
-        events = events_of_call(_call())
-        for event in events:
-            if event.event_type is EventType.CALL_END:
-                break
-            service.handle(event)
-        assert fleet.dc_of("c1") == "dc-seoul"
-        assert fleet.pool("dc-tokyo").call_count == 0
-        assert fleet.pool("dc-seoul").call_count == 1
+        # Everything except CALL_END; the plan puts the call in Seoul.
+        ledger = self._serve(topology, "dc-seoul", rows=5)
+        assert ledger.placements()["c1"].startswith("dc-seoul/")

@@ -1,11 +1,15 @@
 """Columnar data plane: round-trips, stream parity, pinned event order.
 
 The struct-of-arrays pipeline (ColumnarTrace -> ColumnarEventBatch ->
-engine/replay) must be observably identical to the object pipeline:
-same calls, same events in the same order, same demand matrices, same
-per-day accounting.  These tests pin that equivalence plus the explicit
-equal-timestamp event total order both sorters share.
+admission kernel) must be observably identical to the object pipeline:
+same calls, same events in the same order, same demand matrices, and
+the same serving outcome as the object-event path's pinned output.
+These tests pin that equivalence plus the explicit equal-timestamp
+event total order both sorters share.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +29,6 @@ from repro.controller.events import (
     events_of_call,
     peak_event_rate,
 )
-from repro.controller.replay import ReplayEngine
-from repro.controller.service import ControllerService
 from repro.kvstore import InMemoryKVStore
 from repro.service import AdmissionEngine, LoadGenerator
 from repro.switchboard import Switchboard
@@ -270,57 +272,66 @@ class TestStreamParity:
 
 
 # ----------------------------------------------------------------------
-# satellite 3b: identical ServiceReport accounting on both paths
+# the admission kernel against the object path's pinned output
 # ----------------------------------------------------------------------
+#: The retired object-event serving path's 1-worker output on the
+#: ``load``/``plan`` fixtures: accounting tuple, store op count, final
+#: store contents.  Captured before that path was deleted; never
+#: regenerated.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "datapath_object_path.json")
+    .read_text())
+
+
 class TestAccountingParity:
     @staticmethod
     def accounting(report):
         report.require_exact_accounting()
-        return (report.generated_calls, report.admitted_calls,
+        return [report.generated_calls, report.admitted_calls,
                 report.migrated_calls, report.overflowed_calls,
                 report.unplanned_calls, report.early_ended_calls,
                 report.ended_calls, report.unsettled_calls,
                 report.joins, report.media_changes, report.dropped_events,
-                report.events_processed)
+                report.events_processed]
 
-    def run_path(self, topology, plan, events, n_workers=1):
-        engine = AdmissionEngine(topology, plan, store=InMemoryKVStore(),
-                                 n_workers=n_workers)
+    def run_path(self, topology, plan, events, n_workers=1, store=None):
+        engine = AdmissionEngine(
+            topology, plan,
+            store=store if store is not None else InMemoryKVStore(),
+            n_workers=n_workers)
         return engine.run(events)
 
     def test_object_vs_columnar_single_worker(self, topology, plan, load):
-        obj = self.run_path(topology, plan, load.events)
         col = self.run_path(topology, plan, load.batch)
-        assert self.accounting(obj) == self.accounting(col)
+        assert self.accounting(col) == GOLDEN["accounting"]
+        assert col.mean_acl_ms == GOLDEN["mean_acl_ms"]
 
     def test_object_vs_columnar_sharded(self, topology, plan, load):
-        obj = self.run_path(topology, plan, load.events, n_workers=4)
         col = self.run_path(topology, plan, load.batch, n_workers=4)
-        assert self.accounting(obj) == self.accounting(col)
+        assert self.accounting(col) == GOLDEN["accounting"]
 
     def test_store_state_parity(self, topology, plan, load):
-        """The columnar fast path batches join writes; the final store
-        contents and per-op counts must still match the object path."""
-        s_obj, s_col = InMemoryKVStore(), InMemoryKVStore()
-        AdmissionEngine(topology, plan, store=s_obj, n_workers=1).run(
-            load.events)
-        AdmissionEngine(topology, plan, store=s_col, n_workers=1).run(
-            load.batch)
-        assert s_obj._data == s_col._data
-        assert s_obj.op_count == s_col.op_count
+        """The kernel batches join writes; the final store contents and
+        per-op counts must still match the object path's per-event
+        writes."""
+        store = InMemoryKVStore()
+        self.run_path(topology, plan, load.batch, store=store)
+        assert store._data == GOLDEN["store"]
+        assert store.op_count == GOLDEN["op_count"]
 
     def test_streaming_batches_accounting(self, topology, plan, generator,
                                           load):
         streaming = generator.stream(target_events=2000)
         stream_report = self.run_path(topology, plan, streaming.batches())
-        obj = self.run_path(topology, plan, load.events)
-        assert self.accounting(stream_report) == self.accounting(obj)
+        assert self.accounting(stream_report) == GOLDEN["accounting"]
 
     def test_replay_service_parity(self, topology, plan, load):
-        svc_obj = ControllerService(topology, plan, InMemoryKVStore())
-        obj = ReplayEngine(svc_obj).replay(load.events, n_threads=2)
-        svc_col = ControllerService(topology, plan, InMemoryKVStore())
-        col = ReplayEngine(svc_col).replay(load.batch, n_threads=2)
-        assert obj.n_events == col.n_events
-        assert obj.migration_rate == col.migration_rate
-        assert svc_obj.stats == svc_col.stats
+        """An object trace promoted to columns (how the simulator, the
+        §6.4 experiment and the packing workload feed the service)
+        serves exactly like the generated batch, at 2 workers."""
+        replayed = build_event_batch(ColumnarTrace.from_trace(load.trace),
+                                     load.freeze_window_s)
+        obj = self.run_path(topology, plan, replayed, n_workers=2)
+        col = self.run_path(topology, plan, load.batch, n_workers=2)
+        assert self.accounting(obj) == self.accounting(col)
+        assert obj.mean_acl_ms == pytest.approx(col.mean_acl_ms)

@@ -2,27 +2,27 @@
 
 These walk the system the way the paper's Fig 6 wires it: synthetic calls
 -> records database -> latency estimation -> forecasts -> provisioning ->
-daily allocation -> real-time selection -> controller replay, asserting
+daily allocation -> real-time selection -> the service plane, asserting
 global invariants at each hand-off.
 """
 
 import pytest
 
 from repro.allocation.realtime import RealTimeSelector
-from repro.controller.events import event_stream
-from repro.controller.replay import ReplayEngine
-from repro.controller.service import ControllerService
+from repro.controller.columnar import build_event_batch
 from repro.core.types import make_slots
-from repro.kvstore.store import InMemoryKVStore
+from repro.kvstore.client import ControllerStateClient
 from repro.provisioning.demand import PlacementData
 from repro.provisioning.failures import FailureScenario
 from repro.provisioning.formulation import ScenarioLP
 from repro.provisioning.planner import CapacityPlan
 from repro.records.aggregation import demand_from_database, ingest_trace
 from repro.records.database import CallRecordsDatabase
-from repro.config import PlannerConfig
+from repro.config import PlannerConfig, ServiceConfig
+from repro.service import ServiceRuntime
 from repro.switchboard import Switchboard, SwitchboardPipeline
 from repro.workload.arrivals import DemandModel
+from repro.workload.columnar import ColumnarTrace
 from repro.workload.configs import generate_population
 from repro.workload.trace import TraceGenerator
 
@@ -95,14 +95,15 @@ class TestProvisionToRealtime:
 
     def test_controller_replay_matches_selector_counts(self, plan_and_trace):
         topology, trace, plan = plan_and_trace
-        events = event_stream(trace)
-        service = ControllerService(topology, plan, InMemoryKVStore())
-        result = ReplayEngine(service).replay(events, n_threads=4)
-        assert service.stats.calls_started == len(trace)
-        assert service.stats.calls_ended == len(trace)
-        assert result.n_events == len(events)
+        events = build_event_batch(ColumnarTrace.from_trace(trace))
+        runtime = ServiceRuntime.from_config(topology, plan,
+                                             ServiceConfig(n_workers=4))
+        report = runtime.run(events)
+        assert report.generated_calls == len(trace)
+        assert report.ended_calls == len(trace)
+        assert report.events_processed == len(events)
         # All per-call state was cleaned up.
-        assert service.client.dc_load("dc-tokyo") == 0
+        assert ControllerStateClient(runtime.store).dc_load("dc-tokyo") == 0
 
 
 class TestFailureCoverage:

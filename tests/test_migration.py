@@ -17,10 +17,7 @@ import pytest
 
 from repro.allocation.plan import AllocationPlan
 from repro.config import MigrationConfig
-from repro.core.errors import (
-    SwitchboardDeprecationWarning,
-    SwitchboardError,
-)
+from repro.core.errors import SwitchboardError
 from repro.core.types import CallConfig, MediaType, make_slots
 from repro.experiments import fig_migration, migration
 from repro.experiments.common import build_scenario
@@ -540,18 +537,13 @@ class TestReportSchema:
 
 
 class TestDeprecatedOfflinePath:
-    def test_run_direct_warns(self):
-        scn = build_scenario("small", seed=5)
-        with pytest.warns(SwitchboardDeprecationWarning,
-                          match="ServiceRuntime.from_config"):
-            result = migration.run_direct(scn)
-        assert result["live_path"] is False
-        assert migration.run_replay is migration.run_direct
+    """§6.4 serves on the live plane only; the offline replay is its
+    oracle, not an entry point."""
 
     def test_live_run_does_not_warn(self):
         scn = build_scenario("small", seed=5)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", SwitchboardDeprecationWarning)
+            warnings.simplefilter("error")
             result = migration.run(scn)
         assert result["live_path"] is True
 

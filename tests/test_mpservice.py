@@ -7,17 +7,17 @@ state whether the day is served in-process or sharded over 2 or 4
 worker processes — including with a packing fleet ledger defragmenting
 between windows and with a closed-loop autoscaler rescaling mid-day
 across a worker barrier.  Also covers the ServiceRuntime construction
-API itself: executor selection, the object-stream rejection on the
-process path, the deprecation shim on direct engine wiring, and the
+API itself: executor selection, the object-stream rejection, and the
 versioned report schema.
 """
 
 import json
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
-from repro.core.errors import SwitchboardDeprecationWarning, SwitchboardError
+from repro.core.errors import SwitchboardError
 from repro.autoscale import Autoscaler
 from repro.config import AutoscaleConfig, PackingConfig, PlannerConfig, \
     ServiceConfig
@@ -34,7 +34,6 @@ from repro.service import (
 )
 from repro.switchboard import Switchboard
 from repro.workload.arrivals import DemandModel
-from repro.workload.columnar import ColumnarTrace
 from repro.workload.configs import generate_population
 from repro.workload.diurnal import DiurnalModel
 from repro.workload.trace import TraceGenerator
@@ -125,13 +124,7 @@ class TestFleetLedgerParity:
                                           n_workers=n_workers),
             ledger=ledger, defragmenter=defragmenter,
             defrag_interval_s=config.defrag_interval_s)
-        if executor == "process":
-            events = build_event_batch(
-                ColumnarTrace.from_trace(plan_load.trace),
-                plan_load.freeze_window_s)
-        else:
-            events = plan_load.events
-        report = runtime.run(events)
+        report = runtime.run(plan_load.batch)
         report.require_exact_accounting()
         return report, runtime.store_state()
 
@@ -227,14 +220,9 @@ class TestServiceRuntimeAPI:
         with pytest.raises(SwitchboardError, match="columnar"):
             runtime.engine.run(iter(load.events))
 
-    def test_direct_wiring_kwargs_deprecated(self, topology, plan):
-        with pytest.warns(SwitchboardDeprecationWarning,
-                          match="ServiceRuntime.from_config"):
-            AdmissionEngine(topology, plan, rescale_interval_s=60.0)
-
     def test_runtime_path_does_not_warn(self, topology, plan):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", SwitchboardDeprecationWarning)
+            warnings.simplefilter("error")
             ServiceRuntime.from_config(topology, plan,
                                        rescale_interval_s=60.0)
 
@@ -254,3 +242,54 @@ class TestReportSchema:
         again = json.loads(json.dumps(dumped))
         assert list(again) == list(dumped)
         assert dumped["executor"] == "process"
+
+
+class _CountingDefragmenter:
+    """A defragmenter stand-in that only counts its barrier rounds."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def run_round(self):
+        self.rounds += 1
+        return SimpleNamespace(executed_moves=0)
+
+
+class TestBarrierOrdering:
+    """Window barriers need time-ordered input.  Streamed chunks cover
+    whole calls, so consecutive chunks overlap in time; with a barrier
+    consumer bound, a batch starting before the previous window's last
+    event must be refused, not served with barrier time running
+    backwards."""
+
+    @staticmethod
+    def _overlapping_batches(load):
+        trace = load.columnar
+        half = trace.n_calls // 2
+        first = build_event_batch(trace.slice_calls(0, half), FREEZE_S)
+        second = build_event_batch(trace.slice_calls(half, trace.n_calls),
+                                   FREEZE_S)
+        assert second.t_s[0] < first.t_s[-1]
+        return [first, second]
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_out_of_order_batch_rejected_with_barriers(self, topology, plan,
+                                                       load, executor):
+        defragmenter = _CountingDefragmenter()
+        runtime = ServiceRuntime.from_config(
+            topology, plan, ServiceConfig(executor=executor, n_workers=2),
+            freeze_window_s=FREEZE_S, defragmenter=defragmenter,
+            defrag_interval_s=1800.0)
+        with pytest.raises(SwitchboardError, match="time-ordered"):
+            runtime.run(self._overlapping_batches(load))
+        assert defragmenter.rounds > 0  # the first batch was served
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_out_of_order_batch_served_without_barriers(self, topology, plan,
+                                                        load, executor):
+        runtime = ServiceRuntime.from_config(
+            topology, plan, ServiceConfig(executor=executor, n_workers=2),
+            freeze_window_s=FREEZE_S)
+        report = runtime.run(self._overlapping_batches(load))
+        report.require_exact_accounting()
+        assert report.generated_calls == load.n_calls

@@ -343,7 +343,7 @@ class TestEngineWithFleetLedger:
             topology, plan, store=store, ledger=ledger,
             defragmenter=defragmenter,
             defrag_interval_s=config.defrag_interval_s)
-        return runtime.run(load.events)
+        return runtime.run(load.batch)
 
     @pytest.mark.parametrize("policy", ["first_fit", "predictive"])
     def test_replay_accounting_exact(self, topology, packing_setup,
@@ -406,7 +406,7 @@ class TestEngineWithFleetLedger:
                                              packing_setup):
         load, plan, _ = packing_setup
         engine = AdmissionEngine(topology, plan)
-        report = engine.run(load.events)
+        report = engine.run(load.batch)
         report.require_exact_accounting()
         assert report.packing == {}
         assert report.defrag_migrated_calls == 0
@@ -419,8 +419,8 @@ class TestPackingWorkload:
         two = generate_packing_load(n_calls=50, seed=3)
         assert [c.call_id for c in one.trace.calls] == \
             [c.call_id for c in two.trace.calls]
-        assert [(e.t_s, e.event_type, e.call_id) for e in one.events] == \
-            [(e.t_s, e.event_type, e.call_id) for e in two.events]
+        assert [(e.t_s, e.event_type, e.call_id) for e in one.batch] == \
+            [(e.t_s, e.event_type, e.call_id) for e in two.batch]
 
     def test_class_structure(self):
         load = generate_packing_load(n_calls=200, seed=5)

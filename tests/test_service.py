@@ -1,5 +1,8 @@
 """Tests for the online admission service: loadgen, engine, report."""
 
+import sys
+
+import numpy as np
 import pytest
 
 from repro.core.errors import SwitchboardError
@@ -11,10 +14,17 @@ from repro.allocation.realtime import (
     RealTimeSelector,
 )
 from repro.config import PlannerConfig
-from repro.controller.events import ControllerEvent, EventType, event_stream
+from repro.controller.columnar import ColumnarEventBatch, build_event_batch
+from repro.controller.events import EVENT_SORT_CODE, ControllerEvent, EventType
 from repro.kvstore import InMemoryKVStore, ShardedKVStore
-from repro.service import AdmissionEngine, LoadGenerator, ServiceReport
+from repro.service import (
+    AdmissionEngine,
+    LoadGenerator,
+    ServiceReport,
+    ServiceRuntime,
+)
 from repro.switchboard import Switchboard
+from repro.workload.columnar import ColumnarTrace
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +75,27 @@ class TestLoadGenerator:
         times = [e.t_s for e in load.events]
         assert times == sorted(times)
 
+    def test_generate_then_serve_builds_no_event_objects(self, topology,
+                                                         plan, monkeypatch):
+        """The object trace/events are lazy views: generating a load and
+        serving it never materializes a ControllerEvent."""
+        built = []
+        original = ControllerEvent.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ControllerEvent, "__init__", counting_init)
+        fresh = LoadGenerator(topology, n_configs=40,
+                              calls_per_slot_at_peak=40.0,
+                              seed=7).generate(target_events=2500)
+        report = ServiceRuntime.from_config(topology, plan).run(fresh)
+        report.require_exact_accounting()
+        assert fresh.n_events == report.events_processed
+        assert built == []
+        assert "trace" not in vars(fresh) and "events" not in vars(fresh)
+
     def test_invalid_parameters(self, topology):
         gen = LoadGenerator(topology, n_configs=10,
                             calls_per_slot_at_peak=10.0)
@@ -79,7 +110,7 @@ class TestAdmissionEngine:
     def test_exact_accounting_single_worker(self, topology, plan, load):
         engine = AdmissionEngine(topology, plan,
                                  store=ShardedKVStore(n_shards=4))
-        report = engine.run(load.events)
+        report = engine.run(load.batch)
         report.require_exact_accounting()
         assert report.generated_calls == load.n_calls
         assert report.events_processed == load.n_events
@@ -89,7 +120,7 @@ class TestAdmissionEngine:
         engine = AdmissionEngine(topology, plan,
                                  store=ShardedKVStore(n_shards=4),
                                  n_workers=4)
-        report = engine.run(load.events)
+        report = engine.run(load.batch)
         report.require_exact_accounting()
         assert report.generated_calls == load.n_calls
 
@@ -101,7 +132,7 @@ class TestAdmissionEngine:
 
         engine = AdmissionEngine(topology, plan,
                                  store=ShardedKVStore(n_shards=4))
-        engine.run(load.events)
+        engine.run(load.batch)
 
         expected, got = selector.stats, engine.selector.stats
         assert (expected.calls, expected.migrations, expected.unplanned,
@@ -115,28 +146,47 @@ class TestAdmissionEngine:
             engine = AdmissionEngine(topology, plan,
                                      store=ShardedKVStore(n_shards=4),
                                      n_workers=n_workers)
-            reports.append(engine.run(load.events))
+            reports.append(engine.run(load.batch))
         assert reports[0].migrated_calls == reports[1].migrated_calls
         assert reports[0].overflowed_calls == reports[1].overflowed_calls
         assert reports[0].generated_calls == reports[1].generated_calls
 
+    def test_outcome_counters_survive_many_threads(self, topology, plan,
+                                                   load):
+        """Settles from every worker thread count into one set of
+        outcome counters; a lost update would break the partition."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            engine = AdmissionEngine(topology, plan,
+                                     store=InMemoryKVStore(), n_workers=8)
+            report = engine.run(load.batch)
+        finally:
+            sys.setswitchinterval(interval)
+        report.require_exact_accounting()
+        assert report.generated_calls == load.n_calls
+        assert engine.selector.stats.calls == load.n_calls
+
     def test_runs_on_plain_store_too(self, topology, plan, load):
         engine = AdmissionEngine(topology, plan, store=InMemoryKVStore())
-        report = engine.run(load.events)
+        report = engine.run(load.batch)
         report.require_exact_accounting()
         assert report.n_shards == 1
 
-    def test_malformed_events_counted_dropped(self, topology, plan):
-        events = [
-            # CALL_START without its call payload: undeliverable.
-            ControllerEvent(t_s=0.0, event_type=EventType.CALL_START,
-                            call_id="ghost"),
-            # Events for a call the engine never admitted.
-            ControllerEvent(t_s=1.0, event_type=EventType.PARTICIPANT_JOIN,
-                            call_id="ghost"),
-            ControllerEvent(t_s=2.0, event_type=EventType.CALL_END,
-                            call_id="ghost"),
-        ]
+    def test_malformed_events_counted_dropped(self, topology, plan, load):
+        events = ColumnarEventBatch(
+            trace=load.columnar,
+            t_s=np.array([0.0, 1.0, 2.0]),
+            call_idx=np.zeros(3, dtype=np.int64),
+            type_code=np.array([EVENT_SORT_CODE[EventType.CALL_START],
+                                EVENT_SORT_CODE[EventType.PARTICIPANT_JOIN],
+                                EVENT_SORT_CODE[EventType.CALL_END]],
+                               dtype=np.int8),
+            # CALL_START and the join without their country: undeliverable;
+            # the hangup is for a call the engine never admitted.
+            country_code=np.full(3, -1, dtype=np.int32),
+            media_code=np.full(3, -1, dtype=np.int8),
+        )
         engine = AdmissionEngine(topology, plan,
                                  store=ShardedKVStore(n_shards=2))
         report = engine.run(events)
@@ -160,7 +210,7 @@ class TestAdmissionEngine:
                                             floor_ms=0.05, ceil_ms=0.3,
                                             seed=3)
         engine = AdmissionEngine(topology, plan, store=store, n_workers=2)
-        report = engine.run(load.events)
+        report = engine.run(load.batch)
         assert set(report.admission_latency_ms) == {"p50", "p95", "p99",
                                                     "count"}
         assert report.admission_latency_ms["count"] > 0
@@ -277,9 +327,11 @@ class TestServiceReport:
 
 class TestEventStreamContract:
     def test_engine_consumes_event_stream_output(self, topology, plan, load):
-        """event_stream() and the engine agree on the payload contract:
-        every event kind the stream emits is handled, none dropped."""
-        streamed = event_stream(load.trace, load.freeze_window_s)
+        """An object trace promoted to columns (the simulator's path)
+        and the engine agree on the payload contract: every event kind
+        the stream emits is handled, none dropped."""
+        streamed = build_event_batch(ColumnarTrace.from_trace(load.trace),
+                                     load.freeze_window_s)
         engine = AdmissionEngine(topology, plan,
                                  store=ShardedKVStore(n_shards=2))
         report = engine.run(streamed)
