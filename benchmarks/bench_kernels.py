@@ -2,8 +2,9 @@
 
 Conventional multi-round pytest-benchmark measurements of the pieces the
 controller's scalability rests on: LP assembly+solve, Holt-Winters grid
-fitting, WAN path computation, placement precomputation, kvstore ops, and
-single-call real-time selection (the §5.4 critical path).
+fitting (one series, and a nightly batch of configs), WAN path
+computation, placement precomputation, kvstore ops, and single-call
+real-time selection (the §5.4 critical path).
 """
 
 import numpy as np
@@ -11,7 +12,10 @@ import pytest
 
 from repro.allocation.realtime import RealTimeSelector
 from repro.core.types import Call, CallConfig, MediaType, Participant, make_slots
-from repro.forecasting.holt_winters import fit_holt_winters
+from repro.forecasting.holt_winters import (
+    fit_holt_winters,
+    fit_holt_winters_batch,
+)
 from repro.kvstore.store import InMemoryKVStore
 from repro.provisioning.demand import PlacementData
 from repro.provisioning.formulation import ScenarioLP
@@ -40,6 +44,19 @@ def test_holt_winters_grid_fit(benchmark):
 
     result = benchmark(fit_holt_winters, series, 336)
     assert result.sse >= 0
+
+
+def test_holt_winters_batch_fit(benchmark):
+    """One nightly forecast of the Fig 6 loop: 131 configs x 9 days of
+    half-hourly history fitted in one batched kernel call."""
+    rng = np.random.default_rng(0)
+    t = np.arange(432)
+    diurnal = 1 + np.sin(2 * np.pi * t / 48)
+    series = rng.poisson(rng.uniform(0.1, 20, (131, 1)) * diurnal).astype(float)
+
+    fits = benchmark(fit_holt_winters_batch, series, 48)
+    assert len(fits) == 131
+    assert all(fit.sse >= 0 for fit in fits)
 
 
 def test_wan_path_computation(benchmark):

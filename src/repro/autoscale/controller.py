@@ -161,9 +161,10 @@ class Autoscaler:
 
     # ------------------------------------------------------------------
     def _predicted_ratio(self, t_s: float) -> Optional[float]:
-        """Re-run the forecasting models on the observed-demand stream:
-        fit the per-slot observed/forecast ratio series and project it
-        ``forecast_lookahead_slots`` ahead."""
+        """Project the per-slot observed/forecast ratio series
+        ``forecast_lookahead_slots`` ahead through ``fit_auto``.  The
+        season is capped at the series' length, so this is always
+        ``fit_auto``'s flat-mean fallback: the mean observed ratio."""
         _, ratios = self.aggregator.completed_slot_ratios(t_s)
         if len(ratios) < 2:
             return None

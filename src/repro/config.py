@@ -239,12 +239,15 @@ class AutoscaleConfig:
     * ``scale_down_patience`` — consecutive below-band windows required
       before scaling down (scale-out is never delayed).
     * ``min_scale`` / ``max_scale`` — clamp on the scale factor.
-    * ``predictive`` — re-run the ``repro.forecasting`` models on the
-      observed-demand ratio stream to set targets ahead of the demand
+    * ``predictive`` — project the per-slot observed/forecast demand
+      ratios ahead through ``repro.forecasting.fit_auto`` to set targets
       (pure cumulative-ratio tracking otherwise).
     * ``forecast_lookahead_slots`` — horizon of that ratio forecast.
-    * ``season_length`` — season passed to ``fit_auto`` (short intraday
-      series fall back to the trend fit automatically).
+    * ``season_length`` — upper bound on the season passed to
+      ``fit_auto``.  The season is capped at the ratio series' length, so
+      the series never holds the two full seasons a Holt-Winters fit
+      needs: ``fit_auto`` always takes its flat-mean fallback, and the
+      projected ratio is the mean of the completed slots' ratios.
     * ``provision_horizon_slots`` — the rolling capacity window: each
       interval ``provision()`` re-runs over the next this-many slots at
       the current scale, so provisioned cores follow the demand curve

@@ -17,7 +17,11 @@ import numpy as np
 from repro.core.errors import ForecastError
 from repro.core.types import CallConfig, TimeSlot
 from repro.forecasting.evaluation import ForecastErrors, forecast_errors
-from repro.forecasting.holt_winters import HoltWintersFit, fit_auto
+from repro.forecasting.holt_winters import (
+    HoltWintersFit,
+    fit_auto,
+    fit_auto_batch,
+)
 from repro.workload.arrivals import Demand
 
 
@@ -66,11 +70,9 @@ class CallCountForecaster:
             for i in range(horizon_slots)
         ]
         counts = np.zeros((horizon_slots, history.n_configs))
-        for j, config in enumerate(history.configs):
-            result = self.forecast_config(
-                history.config_series(config), horizon_slots, config
-            )
-            counts[:, j] = result.forecast
+        fits = fit_auto_batch(history.counts.T, self.season_length)
+        for j, fit in enumerate(fits):
+            counts[:, j] = fit.forecast(horizon_slots)
         return Demand(future, history.configs, counts * self.cushion)
 
     def backtest(self, full_history: Demand,
@@ -86,9 +88,9 @@ class CallCountForecaster:
                 f"{full_history.n_slots} slots"
             )
         split = full_history.n_slots - holdout_slots
+        fits = fit_auto_batch(full_history.counts[:split].T, self.season_length)
         errors: Dict[CallConfig, ForecastErrors] = {}
-        for config in full_history.configs:
-            series = full_history.config_series(config)
-            result = self.forecast_config(series[:split], holdout_slots, config)
-            errors[config] = forecast_errors(series[split:], result.forecast)
+        for config, fit in zip(full_history.configs, fits):
+            truth = full_history.config_series(config)[split:]
+            errors[config] = forecast_errors(truth, fit.forecast(holdout_slots))
         return errors

@@ -427,6 +427,39 @@ class TestClosedLoop:
             report.rescale_events
         assert "autoscale:" in report.summary()
 
+    def test_predicted_ratio_takes_flat_mean_fallback(self, loop_world,
+                                                      monkeypatch):
+        """Pins today's predictive path: ``_predicted_ratio`` caps the
+        season at the ratio series' length, so the series never holds two
+        full seasons and every ``fit_auto`` call returns the flat-mean
+        fallback (the mean of the observed ratios), never a Holt-Winters
+        fit."""
+        from repro.autoscale import controller as autoscale_controller
+
+        real_fit_auto = autoscale_controller.fit_auto
+        calls = []
+
+        def spy(series, season_length, damped=False):
+            fit = real_fit_auto(series, season_length, damped)
+            calls.append((np.asarray(series, dtype=float), season_length, fit))
+            return fit
+
+        monkeypatch.setattr(autoscale_controller, "fit_auto", spy)
+        topo, base = loop_world
+        controller, capacity, plan = _provision(topo, base)
+        surprise = Demand(base.slots, base.configs, base.counts * 1.6)
+        rescaler = Autoscaler(controller, base, plan,
+                              config=AutoscaleConfig(), capacity=capacity)
+        runtime = ServiceRuntime.from_config(
+            topo, plan, freeze_window_s=FREEZE_S, rescaler=rescaler)
+        runtime.run(_events(surprise, seed=8)).require_exact_accounting()
+
+        assert calls
+        for series, season, fit in calls:
+            assert len(series) < 2 * season
+            assert (fit.alpha, fit.beta, fit.gamma, fit.trend) == (0, 0, 0, 0)
+            assert fit.level == float(series.mean())
+
     def test_pipeline_hook_builds_autoscaler(self, loop_world):
         topo, base = loop_world
         controller, capacity, plan = _provision(topo, base)
